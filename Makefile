@@ -68,19 +68,18 @@ chaos-sched-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_chaos_sched.py -q
 
 ## des-equivalence: the differential DES-core harness — every canonical
-## scenario plus 250 random event programs must be byte-identical
-## across the heap and calendar engines (blocking in CI)
+## scenario plus 250 random event programs (with and without
+## perturbation seeds) must match a sorted-list reference core exactly
+## (blocking in CI)
 des-equivalence:
 	$(PYTHON) -m pytest tests/runtime/test_des_equivalence.py \
 	    tests/runtime/test_des_tiebreak.py -q
 
-## des-smoke: reduced-scale DES-core benchmark — live engine
-## equivalence + live speedup at 500 ranks, plus the committed
-## BENCH_cluster.json >=10x events/sec audit (full scale: drop the
-## REPRO_BENCH_SCALE override; regenerate the baseline with
-## REPRO_BENCH_WRITE=1)
+## des-smoke: the 5000-rank stealing scenario (run at any scale) must
+## reproduce BENCH_cluster.json's pinned block exactly; rewrite that
+## block with REPRO_BENCH_WRITE=1 (blocking in CI)
 des-smoke:
-	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_des_core.py -q
+	$(PYTHON) -m pytest benchmarks/test_des_core.py -q
 
 ## trace-check: just the dynamic happens-before tests
 trace-check:

@@ -14,7 +14,6 @@ accumulations cross ranks, and those are asynchronous.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -25,7 +24,6 @@ from repro.cluster.stealing import StealingConfig, StealingEngine
 from repro.dht.process_map import ProcessMap
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.models import GpuFailure
 from repro.faults.policies import GpuBatchTimeout, RetryPolicy
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
@@ -85,8 +83,8 @@ class ClusterResult:
     total_lost_messages: int = 0
     #: restarts summed over ranks (checkpoint/restart recovery only)
     total_restarts: int = 0
-    #: DES events the scheduling run retired (stealing mode only; the
-    #: events/sec numerator of the BENCH_cluster baseline)
+    #: DES events the scheduling run popped from the queue and fired
+    #: (stealing mode only; pinned by BENCH_cluster.json)
     total_events: int = 0
 
     @property
@@ -130,9 +128,6 @@ class ClusterSimulation:
         retry_policy / gpu_timeout: per-rank resilience policies handed
             to every node runtime (only meaningful with a fault
             injector).
-        failed_gpus: deprecated alias for ``fault_injector`` with one
-            permanent :class:`~repro.faults.models.GpuFailure` per rank;
-            emits a :class:`DeprecationWarning`.
         pipelined: run each node's batches through the concurrent
             pipeline (default); ``False`` serialises batches per node.
         adaptive: use the feedback-calibrated
@@ -192,7 +187,6 @@ class ClusterSimulation:
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
         gpu_timeout: GpuBatchTimeout | None = None,
-        failed_gpus: set[int] | None = None,
         pipelined: bool = True,
         adaptive: bool = False,
         recovery: RecoveryConfig | None = None,
@@ -233,22 +227,6 @@ class ClusterSimulation:
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         self.gpu_timeout = gpu_timeout
-        if failed_gpus:
-            warnings.warn(
-                "failed_gpus is deprecated; pass fault_injector="
-                "FaultInjector(faults=[GpuFailure(rank=r, permanent=True) "
-                "for r in ranks]) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.fault_injector is None:
-                self.fault_injector = FaultInjector()
-            self.fault_injector.add(
-                *(
-                    GpuFailure(rank=r, permanent=True)
-                    for r in sorted(failed_gpus)
-                )
-            )
         self.pipelined = pipelined
         self.adaptive = adaptive
         self.recovery = recovery

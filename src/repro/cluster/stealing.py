@@ -72,10 +72,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.apps.workloads import ClusterTask
 from repro.cluster.network import NetworkModel
@@ -246,8 +245,8 @@ class StealingOutcome:
     n_rolled_back: int = 0
     #: per-rank restarts survived (empty on recovery-less runs)
     restarts_per_rank: list[int] = field(default_factory=list)
-    #: DES events retired by the run (cohort-advanced ones included) —
-    #: the numerator of the events/sec throughput baseline
+    #: DES events the run popped from the queue and fired
+    #: (:attr:`~repro.runtime.events.Environment.n_processed`)
     n_events: int = 0
 
     @property
@@ -281,6 +280,41 @@ def locality_preferences(
             if other is not None and other != rank:
                 prefs.setdefault(rank, set()).add(other)
     return {rank: tuple(sorted(s)) for rank, s in prefs.items()}
+
+
+def _board_victim(
+    board_heap: list[tuple[int, int]],
+    board: set[int],
+    queues: Sequence[Sized],
+    thief: int,
+) -> int | None:
+    """The deepest queue on ``board`` other than ``thief``'s, ties to
+    the lowest rank; ``None`` when no other rank is on the board.
+
+    ``board_heap`` is a lazy max-heap of ``(-depth, rank)`` entries:
+    heap-min order over it is max order over ``(depth, -rank)``, and a
+    steal attempt costs O(log n) amortized instead of a scan over the
+    whole board.  The caller pushes a fresh entry on every depth change
+    of a rank on the board; an entry is live iff its rank is still on
+    the board at the recorded depth, and stale entries are popped here.
+    A live entry of the thief itself is set aside and re-pushed, so the
+    thief never picks itself and never loses its slot.
+    """
+    victim: int | None = None
+    stash: tuple[int, int] | None = None
+    while board_heap:
+        neg_depth, rank = board_heap[0]
+        if rank not in board or len(queues[rank]) != -neg_depth:
+            heapq.heappop(board_heap)
+            continue
+        if rank == thief:
+            stash = heapq.heappop(board_heap)
+            continue
+        victim = rank
+        break
+    if stash is not None:
+        heapq.heappush(board_heap, stash)
+    return victim
 
 
 def _group_by_kind(
@@ -404,18 +438,10 @@ class StealingEngine:
             for rank in range(n)
             if len(queues[rank]) >= cfg.min_victim_queue
         }
-        #: fast core only: lazy max-heap over the board as ``(-depth,
-        #: rank)`` entries.  Heap-min order over ``(-depth, rank)`` is
-        #: exactly max order over ``(depth, -rank)`` — the legacy
-        #: scan's key — so the winner is identical; entries go stale in
-        #: place (every depth change pushes a fresh one) and are
-        #: discarded lazily at selection time.  Turns the O(n) board
-        #: scan per steal attempt into O(log n) amortized.
-        fast_board = cfg.enabled and env.engine != "heap"
-        board_heap: list[tuple[int, int]] = []
-        if fast_board:
-            board_heap = [(-len(queues[rank]), rank) for rank in board]
-            heapq.heapify(board_heap)
+        #: lazy max-heap over the board (see :func:`_board_victim`); every
+        #: depth change of a rank on the board pushes a fresh entry
+        board_heap = [(-len(queues[rank]), rank) for rank in board]
+        heapq.heapify(board_heap)
         #: only ranks that are actually parked appear here, so a board
         #: gain wakes O(parked) sleepers instead of scanning all n slots
         parked: dict[int, Event] = {}
@@ -424,8 +450,7 @@ class StealingEngine:
             if not chaos[rank].down and (
                 len(queues[rank]) >= cfg.min_victim_queue
             ):
-                if fast_board:
-                    heapq.heappush(board_heap, (-len(queues[rank]), rank))
+                heapq.heappush(board_heap, (-len(queues[rank]), rank))
                 if rank not in board:
                     board.add(rank)
                     wake_parked()
@@ -447,30 +472,7 @@ class StealingEngine:
             ]
             if preferred:
                 return max(preferred, key=lambda r: (len(queues[r]), -r))
-            if not fast_board:
-                pool = sorted(r for r in board if r != rank)
-                if not pool:
-                    return None
-                return max(pool, key=lambda r: (len(queues[r]), -r))
-            # fast core: lazy-heap selection.  An entry is live iff its
-            # rank is still on the board at the recorded depth; a live
-            # self-entry is stashed aside and re-pushed so the thief
-            # never picks itself without losing its board slot.
-            victim: int | None = None
-            stash: tuple[int, int] | None = None
-            while board_heap:
-                neg_depth, r = board_heap[0]
-                if r not in board or len(queues[r]) != -neg_depth:
-                    heapq.heappop(board_heap)
-                    continue
-                if r == rank:
-                    stash = heapq.heappop(board_heap)
-                    continue
-                victim = r
-                break
-            if stash is not None:
-                heapq.heappush(board_heap, stash)
-            return victim
+            return _board_victim(board_heap, board, queues, rank)
 
         def pop_chunk(rank: int) -> list[tuple[str, ClusterTask]]:
             queue = queues[rank]
@@ -854,25 +856,11 @@ class StealingEngine:
                     continue
                 yield from crash_and_restore(rank, env.now)
 
-        if (
-            not cfg.enabled
-            and recovery is None
-            and not crash_schedules
-            and not self.rank_tracers
-            and self.registry is None
-            and env.engine != "heap"
-        ):
-            # fast core, static baseline, nothing observing individual
-            # events: every rank's chunks run back to back, so the whole
-            # timeline is a per-rank cohort retired in one array pass
-            # (bit-identical accounting; see docs/DES.md)
-            self._advance_static_cohorts(env, queues, stats, totals)
-        else:
-            for rank in range(n):
-                env.process(rank_process(rank))
-            for rank in sorted(crash_schedules):
-                env.process(killer_process(rank, crash_schedules[rank]))
-            env.run()
+        for rank in range(n):
+            env.process(rank_process(rank))
+        for rank in sorted(crash_schedules):
+            env.process(killer_process(rank, crash_schedules[rank]))
+        env.run()
         if totals.remaining != 0:
             raise ClusterConfigError(
                 f"scheduler lost {totals.remaining} task(s) — "
@@ -900,68 +888,3 @@ class StealingEngine:
             restarts_per_rank=[ch.restarts for ch in chaos],
             n_events=env.n_processed,
         )
-
-    def _advance_static_cohorts(
-        self,
-        env: Environment,
-        queues: list[deque[tuple[str, ClusterTask]]],
-        stats: list[_RankStats],
-        totals: _Totals,
-    ) -> None:
-        """Retire the static-baseline timeline as per-rank cohorts.
-
-        With stealing off and no chaos, a rank's chunks execute back to
-        back with no cross-rank interaction, so the event-per-chunk DES
-        loop collapses to one :func:`numpy.add.accumulate` per rank.
-        ``np.add.accumulate`` folds strictly left to right — the same
-        association order as the per-event clock advance — so ``busy``
-        / ``finish`` match the heap engine bit for bit (the DES folds
-        ``end - start`` diffs, which telescope only in exact
-        arithmetic; the fold here keeps that exact float order).
-        Retired events still count via :meth:`Environment.note_retired`
-        so events/sec stays comparable across cores.
-        """
-        cfg = self.config
-        for rank, queue in enumerate(queues):
-            st = stats[rank]
-            if not queue:
-                # the DES path still pays the rank's spawn resume and
-                # process-completion events
-                env.note_retired(2)
-                continue
-            costs: list[float] = []
-            executed = 0
-            messages = 0
-            message_bytes = 0
-            while queue:
-                chunk = [
-                    queue.popleft()
-                    for _ in range(min(cfg.chunk_size, len(queue)))
-                ]
-                seconds = self.chunk_seconds(
-                    rank, [task for _tid, task in chunk]
-                )
-                if seconds < 0:
-                    raise ClusterConfigError(
-                        f"negative chunk cost {seconds} on rank {rank}"
-                    )
-                costs.append(seconds)
-                executed += len(chunk)
-                for _tid, task in chunk:
-                    if self.pmap.owner(task.neighbor) != rank:
-                        messages += 1
-                        message_bytes += task.item.output_bytes
-            ends = np.add.accumulate(np.asarray(costs, dtype=np.float64))
-            starts = np.concatenate(([0.0], ends[:-1]))
-            st.busy = float(np.add.accumulate(ends - starts)[-1])
-            st.finish = float(ends[-1])
-            st.executed = executed
-            st.chunks = len(costs)
-            st.messages = messages
-            st.message_bytes = message_bytes
-            totals.remaining -= executed
-            # one timeout event per chunk plus the rank's spawn resume
-            # and process-completion events
-            env.note_retired(len(costs) + 2)
-            if st.finish > env.now:
-                env.now = st.finish

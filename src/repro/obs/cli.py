@@ -28,7 +28,6 @@ from repro.obs.critical_path import critical_path_for_dump
 from repro.obs.dump import RunDump
 from repro.obs.export import export_chrome
 from repro.obs.scenarios import SCENARIOS, run_scenario
-from repro.runtime.events import ENGINES
 
 
 def _load_dump(source: str) -> RunDump:
@@ -52,7 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    run = run_scenario(args.scenario, engine=args.engine)
+    run = run_scenario(args.scenario)
     _emit(run.dump.dumps(), args.output)
     if args.output and args.output != "-":
         print(
@@ -118,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("scenario", choices=sorted(SCENARIOS))
     record.add_argument("-o", "--output", default="-",
                         help="output path ('-' = stdout)")
-    record.add_argument("--engine", choices=sorted(ENGINES), default=None,
-                        help="pin the DES core (the dump must be "
-                             "byte-identical either way; see docs/DES.md)")
     record.set_defaults(func=_cmd_record)
 
     export = sub.add_parser(

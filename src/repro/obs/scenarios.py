@@ -55,7 +55,6 @@ from repro.recovery.checkpoint import CheckpointCostModel
 from repro.recovery.policy import EveryNBatches
 from repro.recovery.protocol import RecoveryConfig, run_with_recovery
 from repro.runtime.dispatcher import HybridDispatcher
-from repro.runtime.events import des_engine
 from repro.runtime.node import NodeRuntime
 from repro.runtime.task import HybridTask, TaskKind, WorkItem
 from repro.runtime.trace import Tracer
@@ -451,21 +450,11 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, *, engine: str | None = None) -> ScenarioRun:
-    """Execute one canonical scenario by name.
-
-    ``engine`` pins the DES core for the run (``"heap"`` replays the
-    legacy binary-heap kernel, ``"calendar"`` the fast core); ``None``
-    keeps the ambient :func:`~repro.runtime.events.current_engine`.
-    The canonical dump must be byte-identical either way — that is the
-    contract the differential harness enforces (see docs/DES.md).
-    """
+def run_scenario(name: str) -> ScenarioRun:
+    """Execute one canonical scenario by name."""
     runner = SCENARIOS.get(name)
     if runner is None:
         raise ScenarioError(
             f"unknown scenario {name!r}; pick one of {sorted(SCENARIOS)}"
         )
-    if engine is None:
-        return runner()
-    with des_engine(engine):
-        return runner()
+    return runner()

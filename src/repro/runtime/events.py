@@ -8,27 +8,7 @@ of SimPy): processes are generators that ``yield`` events; resources are
 FIFO semaphores.
 
 Determinism: events scheduled for the same instant fire in scheduling
-order, so simulations are exactly reproducible.
-
-Two interchangeable event-queue **engines** back the kernel (see
-docs/DES.md):
-
-- ``"calendar"`` (the default) — a calendar/bucket queue with O(1)
-  amortized insert/pop plus slotted object pools for the internal
-  process-continuation events, built for the million-event cluster and
-  serving runs;
-- ``"heap"`` — the original global binary heap, kept as the legacy
-  reference core.
-
-Both engines order events by the exact same ``(time, draw, seq)`` key,
-so every simulation is bit-identical across them — the differential
-harness (``tests/runtime/test_des_equivalence.py``) holds the pair to
-byte-identical canonical dumps on every canonical scenario and on
-hypothesis-generated random event programs.  Engine selection follows
-the :func:`des_engine` context (or an explicit ``Environment(engine=)``
-argument); hot consumers (:mod:`repro.cluster.stealing`) additionally
-key their own fast-path data structures off the resolved engine so
-``engine="heap"`` reproduces the legacy core end to end.
+order, so simulations are exactly reproducible (see docs/DES.md).
 """
 
 from __future__ import annotations
@@ -44,16 +24,6 @@ from repro.errors import SimulationError
 #: adversarial tie-break source installed by :func:`scheduling_perturbation`
 #: (None = the default deterministic scheduling-order tie-break)
 _TIE_BREAKER: ContextVar = ContextVar("repro-des-tie-breaker", default=None)
-
-#: the queue engines an :class:`Environment` can run on
-ENGINES = ("calendar", "heap")
-
-#: engine installed by :func:`des_engine` (None = the module default)
-_ENGINE: ContextVar = ContextVar("repro-des-engine", default=None)
-
-#: the engine used when neither :func:`des_engine` nor
-#: ``Environment(engine=)`` picks one explicitly
-DEFAULT_ENGINE = "calendar"
 
 
 @contextmanager
@@ -73,32 +43,6 @@ def scheduling_perturbation(rng):
         yield
     finally:
         _TIE_BREAKER.reset(token)
-
-
-@contextmanager
-def des_engine(name: str):
-    """Select the event-queue engine for every :class:`Environment`
-    created in this context.
-
-    ``name`` is one of :data:`ENGINES` — ``"calendar"`` (the fast
-    core) or ``"heap"`` (the legacy reference core).  The differential
-    harness runs every scenario under both contexts and asserts
-    byte-identical dumps; see docs/DES.md.
-    """
-    if name not in ENGINES:
-        raise SimulationError(
-            f"unknown DES engine {name!r}; pick one of {ENGINES}"
-        )
-    token = _ENGINE.set(name)
-    try:
-        yield
-    finally:
-        _ENGINE.reset(token)
-
-
-def current_engine() -> str:
-    """The engine a new :class:`Environment` would run on right now."""
-    return _ENGINE.get() or DEFAULT_ENGINE
 
 
 class Event:
@@ -137,7 +81,7 @@ class Process(Event):
     def __init__(self, env: "Environment", gen: Generator):
         super().__init__(env)
         self._gen = gen
-        env._schedule(env._resume(self, None), 0.0)
+        env._schedule(_Resume(env, self, None), 0.0)
 
     def _step(self, sent_value) -> None:
         try:
@@ -148,12 +92,10 @@ class Process(Event):
             self.env._schedule(self, 0.0)
             return
         if target is None:
-            self.env._schedule(self.env._resume(self, None), 0.0)
+            self.env._schedule(_Resume(self.env, self, None), 0.0)
         elif isinstance(target, Event):
             if target.triggered:
-                self.env._schedule(
-                    self.env._resume(self, target.value), 0.0
-                )
+                self.env._schedule(_Resume(self.env, self, target.value), 0.0)
             else:
                 target.callbacks.append(lambda value: self._step(value))
         else:
@@ -177,272 +119,37 @@ class _Resume(Event):
         self._process._step(self._value)
 
 
-class EventPool:
-    """A bounded slotted free-list of recycled event instances.
-
-    Allocation churn is a real cost at cluster scale: every generator
-    step of every simulated process allocates a continuation event, and
-    the big stealing/serving runs step processes hundreds of thousands
-    of times.  The pool recycles those instances instead: ``acquire``
-    pops a free slot (allocating fresh only when the pool is empty) and
-    ``release`` returns one (dropped on the floor once ``max_size``
-    slots are already banked, so the pool never grows unbounded).
-
-    Safety contract (pinned by ``tests/runtime/test_event_pool.py``):
-    ``release`` scrubs the instance — callbacks cleared, value and
-    target dropped — so a recycled event can never deliver a stale
-    callback or payload.  Only engine-internal continuation events are
-    pooled; user-facing events (``env.event()``, ``env.timeout()``)
-    are never recycled, because callers may legitimately hold
-    references to them after they fire.
-    """
-
-    __slots__ = ("factory", "max_size", "_free", "n_allocated", "n_recycled")
-
-    def __init__(self, factory, max_size: int = 4096):
-        if max_size < 0:
-            raise SimulationError(
-                f"pool size must be >= 0, got {max_size}"
-            )
-        self.factory = factory
-        self.max_size = max_size
-        self._free: list = []
-        self.n_allocated = 0
-        self.n_recycled = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, env: "Environment", process, value):
-        """A ready-to-schedule continuation event (recycled or fresh)."""
-        if self._free:
-            ev = self._free.pop()
-            ev.env = env
-            ev._process = process
-            ev._value = value
-            ev.triggered = True
-            self.n_recycled += 1
-            return ev
-        self.n_allocated += 1
-        return self.factory(env, process, value)
-
-    def release(self, ev) -> None:
-        """Scrub ``ev`` and bank it for reuse (dropped when full)."""
-        ev.callbacks.clear()
-        ev.value = None
-        ev.triggered = False
-        ev._process = None
-        ev._value = None
-        if len(self._free) < self.max_size:
-            self._free.append(ev)
-
-
-class _HeapQueue:
-    """The legacy engine: one global binary heap of event keys."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self):
-        self._q: list[tuple[float, float, int, Event]] = []
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def push(self, entry: tuple[float, float, int, Event]) -> None:
-        """Insert one ``(time, draw, seq, event)`` entry."""
-        heapq.heappush(self._q, entry)
-
-    def peek_time(self) -> float:
-        """The next entry's time without removing it."""
-        return self._q[0][0]
-
-    def pop(self) -> tuple[float, float, int, Event]:
-        """Remove and return the least ``(time, draw, seq)`` entry."""
-        return heapq.heappop(self._q)
-
-
-class _CalendarQueue:
-    """A calendar/bucket event queue with O(1) amortized insert/pop.
-
-    The classic Brown calendar queue adapted to the kernel's exact
-    ordering contract: entries are ``(time, draw, seq, event)`` tuples
-    bucketed by ``int(time / width)`` into a power-of-two ring; every
-    same-instant tie lands in one bucket, where a per-bucket binary
-    heap orders it by the *full* tuple — so pop order is exactly the
-    global ``(time, draw, seq)`` order of the legacy heap, just found
-    through a bucket scan instead of a log-N sift.
-
-    Pops scan forward from the cursor bucket, taking entries whose
-    time falls inside the bucket's current "year" window; a full-year
-    scan that comes up empty (a sparse far-future queue) falls back to
-    a direct minimum search over the non-empty buckets.  The bucket
-    count doubles/halves as the population crosses resize thresholds,
-    with the width re-estimated from the live time span — resizes
-    change only *where* entries sit, never how they compare, so the
-    schedule is invariant under any width choice.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_mask",
-        "_nbuckets",
-        "_width",
-        "_size",
-        "_cursor",
-        "_min_time",
-    )
-
-    #: initial ring size (must be a power of two)
-    _INITIAL_BUCKETS = 8
-
-    def __init__(self):
-        self._nbuckets = self._INITIAL_BUCKETS
-        self._mask = self._nbuckets - 1
-        self._buckets: list[list] = [[] for _ in range(self._nbuckets)]
-        self._width = 1.0
-        self._size = 0
-        #: absolute (un-masked) bucket index the scan resumes from
-        self._cursor = 0
-        #: conservative lower bound on the head time (resize sampling)
-        self._min_time = 0.0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: tuple) -> None:
-        """Insert one ``(time, draw, seq, event)`` entry."""
-        index = int(entry[0] / self._width)
-        heapq.heappush(self._buckets[index & self._mask], entry)
-        self._size += 1
-        if index < self._cursor:
-            # a peek (or a sparse-year fallback) may have advanced the
-            # cursor past this bucket while it was empty; pull it back
-            # or the scan would skip the new entry for a whole lap
-            self._cursor = index
-        if entry[0] < self._min_time:
-            # a resize re-seeds _min_time from the entries alive at that
-            # instant, but the clock may trail them — a new entry at the
-            # current instant must lower the scan's floor again
-            self._min_time = entry[0]
-        if self._size > 2 * self._nbuckets:
-            self._resize(self._nbuckets * 2)
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [e for bucket in self._buckets for e in bucket]
-        lo = min(e[0] for e in entries)
-        hi = max(e[0] for e in entries)
-        span = hi - lo
-        if span > 0.0:
-            # spread the live population over about half the ring so
-            # same-window events cluster without long empty scans
-            self._width = max(span / max(1, len(entries) // 2), 1e-12)
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets = [[] for _ in range(nbuckets)]
-        for e in entries:
-            self._buckets[int(e[0] / self._width) & self._mask].append(e)
-        for bucket in self._buckets:
-            if len(bucket) > 1:
-                heapq.heapify(bucket)
-        self._cursor = int(lo / self._width)
-        self._min_time = lo
-
-    def _advance_cursor(self) -> None:
-        """Point the cursor at the bucket holding the global minimum.
-
-        Scans one full year from the current cursor; when the year is
-        empty (entries live far in the future), falls back to a direct
-        minimum over the non-empty buckets' heads.
-        """
-        cursor = max(self._cursor, int(self._min_time / self._width))
-        for abs_index in range(cursor, cursor + self._nbuckets):
-            bucket = self._buckets[abs_index & self._mask]
-            if bucket and bucket[0][0] < (abs_index + 1) * self._width:
-                self._cursor = abs_index
-                return
-        best = min(
-            (bucket[0] for bucket in self._buckets if bucket),
-        )
-        self._cursor = int(best[0] / self._width)
-
-    def peek_time(self) -> float:
-        """The next entry's time without removing it."""
-        self._advance_cursor()
-        return self._buckets[self._cursor & self._mask][0][0]
-
-    def pop(self) -> tuple:
-        """Remove and return the least ``(time, draw, seq)`` entry."""
-        self._advance_cursor()
-        entry = heapq.heappop(self._buckets[self._cursor & self._mask])
-        self._size -= 1
-        self._min_time = entry[0]
-        if (
-            self._nbuckets > self._INITIAL_BUCKETS
-            and self._size < self._nbuckets // 4
-        ):
-            self._resize(self._nbuckets // 2)
-        return entry
-
-
 class Environment:
     """The simulation clock and event queue.
 
-    Args:
-        engine: ``"calendar"`` or ``"heap"`` (:data:`ENGINES`); when
-            omitted the :func:`des_engine` context (or
-            :data:`DEFAULT_ENGINE`) decides.  Both engines fire events
-            in the exact same deterministic order; the calendar engine
-            additionally pools its internal continuation events.
+    The queue is one ``heapq`` binary heap of ``(time, draw, seq,
+    event)`` entries, popped least key first.  ``draw`` is ``0.0``
+    unless :func:`scheduling_perturbation` installed a tie-breaker, and
+    ``seq`` is the scheduling order, unique, so two entries never
+    compare their events.
     """
 
-    def __init__(self, engine: str | None = None):
-        if engine is None:
-            engine = current_engine()
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown DES engine {engine!r}; pick one of {ENGINES}"
-            )
-        self.engine = engine
+    def __init__(self):
         self.now = 0.0
-        self._queue = _HeapQueue() if engine == "heap" else _CalendarQueue()
+        self._queue: list[tuple[float, float, int, Event]] = []
         self._counter = 0
-        #: events fired so far (the events/sec throughput denominator;
-        #: cohort fast paths add their retired events via
-        #: :meth:`note_retired`)
+        #: events popped from the queue and fired so far; nothing that
+        #: bypassed the queue is counted
         self.n_processed = 0
         #: same-instant tie-break RNG (perturbation harness only)
         self._tie_breaker = _TIE_BREAKER.get()
-        #: recycled continuation events (calendar engine only — the
-        #: legacy engine keeps its original allocate-per-step behaviour)
-        self._resume_pool: EventPool | None = (
-            EventPool(_Resume) if engine == "calendar" else None
-        )
-
-    def _resume(self, process: Process, value) -> _Resume:
-        """An armed continuation event (pooled on the calendar engine)."""
-        if self._resume_pool is not None:
-            return self._resume_pool.acquire(self, process, value)
-        return _Resume(self, process, value)
 
     def _schedule(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # ties on (time, draw) fall back to scheduling order; with no
         # tie-breaker installed draw is constant and the queue is the
-        # documented deterministic (time, scheduling-order) queue
+        # documented deterministic (time, scheduling-order) heap
         draw = 0.0 if self._tie_breaker is None else self._tie_breaker.random()
-        self._queue.push((self.now + delay, draw, self._counter, event))
+        heapq.heappush(
+            self._queue, (self.now + delay, draw, self._counter, event)
+        )
         self._counter += 1
-
-    def note_retired(self, n: int) -> None:
-        """Count ``n`` logical events retired outside the queue.
-
-        Cohort fast paths (see docs/DES.md) advance whole groups of
-        homogeneous events in one array operation; they report the
-        retired count here so events/sec throughput stays comparable
-        across engines.
-        """
-        self.n_processed += n
 
     def event(self) -> Event:
         """A fresh untriggered event bound to this environment."""
@@ -468,28 +175,25 @@ class Environment:
         """Run until the queue drains (or the clock passes ``until``).
 
         The ``until`` bound is **inclusive**: an event scheduled at
-        exactly ``until`` fires before the run stops (the calendar
-        queue's bucket boundaries land on such instants constantly, so
-        the contract is pinned by ``tests/runtime/test_events.py``).
-        Only events strictly *after* ``until`` are left pending, and
-        the clock then stops at ``max(now, until)`` — a bound in the
-        past never rewinds the clock.
+        exactly ``until`` fires before the run stops (pinned by
+        ``tests/runtime/test_events.py``).  Only events strictly *after*
+        ``until`` are left pending, and the clock then stops at
+        ``max(now, until)`` — a bound in the past never rewinds the
+        clock.
 
         Returns the final simulation time.
         """
         queue = self._queue
-        while len(queue):
-            if until is not None and queue.peek_time() > until:
+        while queue:
+            if until is not None and queue[0][0] > until:
                 if until > self.now:
                     self.now = until
                 return self.now
-            t, _draw, _seq, event = queue.pop()
+            t, _draw, _seq, event = heapq.heappop(queue)
             self.now = t
             self.n_processed += 1
             if type(event) is _Resume:
                 event.fire()
-                if self._resume_pool is not None:
-                    self._resume_pool.release(event)
                 continue
             event.triggered = True
             callbacks, event.callbacks = event.callbacks, []

@@ -172,10 +172,6 @@ class ServeResult:
     final_pool: int
     pool_peak: int
     dead_ranks: int = 0
-    #: events the DES core retired for this run (the kernel-level
-    #: counter behind the BENCH_cluster events/sec baseline; distinct
-    #: from ``n_events``, which counts service-level state touches)
-    des_events: int = 0
 
     @property
     def n_arrived(self) -> int:
@@ -752,5 +748,4 @@ class JobService:
             final_pool=state.active_limit,
             pool_peak=state.pool_peak,
             dead_ranks=len(dead),
-            des_events=env.n_processed,
         )

@@ -1,5 +1,5 @@
-"""Cluster-level fault injection: the FaultInjector-backed replacement
-for ``failed_gpus``, node crashes, and message faults.
+"""Cluster-level fault injection: permanent GPU failures, node crashes,
+and message faults.
 
 Node crashes have exactly one handling mode: checkpoint/restart
 recovery (``recovery=RecoveryConfig(...)`` — the crashed rank restores
@@ -20,7 +20,6 @@ from repro.dht.process_map import HashProcessMap
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import (
-    GpuFailure,
     MessageDelay,
     MessageLoss,
     NodeCrash,
@@ -41,29 +40,6 @@ def run(workload, **kwargs):
     sim = ClusterSimulation(NODES, HashProcessMap(NODES), mode="hybrid",
                             **kwargs)
     return sim.run(workload.tasks)
-
-
-class TestDeprecatedAlias:
-    def test_failed_gpus_warns(self, workload):
-        with pytest.warns(DeprecationWarning, match="fault_injector"):
-            ClusterSimulation(
-                NODES, HashProcessMap(NODES), failed_gpus={1}
-            )
-
-    def test_alias_matches_injector_equivalent(self, workload):
-        with pytest.warns(DeprecationWarning):
-            legacy = run(workload, failed_gpus={1})
-        inj = FaultInjector(faults=[GpuFailure(rank=1, permanent=True)])
-        modern = run(workload, fault_injector=inj)
-        assert legacy.makespan_seconds == modern.makespan_seconds
-        for a, b in zip(legacy.node_results, modern.node_results):
-            assert a.timeline.total_seconds == b.timeline.total_seconds
-
-    def test_alias_still_falls_back_to_cpu(self, workload):
-        with pytest.warns(DeprecationWarning):
-            res = run(workload, failed_gpus={1})
-        assert res.node_results[1].timeline.n_gpu_items == 0
-        assert res.node_results[2].timeline.n_gpu_items > 0
 
 
 class TestNodeCrash:

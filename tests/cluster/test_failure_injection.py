@@ -1,19 +1,13 @@
-"""Failure/heterogeneity injection: stragglers and failed GPUs.
-
-Exercises the deprecated ``failed_gpus`` alias on purpose — the
-FaultInjector-backed replacement is covered in test_cluster_faults.py.
-"""
+"""Failure/heterogeneity injection: stragglers and failed GPUs."""
 
 import pytest
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:failed_gpus is deprecated:DeprecationWarning"
-)
 
 from repro.apps.workloads import SyntheticApplyWorkload
 from repro.cluster.simulation import ClusterSimulation
 from repro.dht.process_map import HashProcessMap
 from repro.errors import ClusterConfigError
+from repro.faults.injector import FaultInjector
+from repro.faults.models import GpuFailure
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +21,11 @@ def run(workload, nodes=4, **kwargs):
     return ClusterSimulation(nodes, HashProcessMap(nodes), **kwargs).run(
         workload.tasks
     )
+
+
+def failed_gpu(rank):
+    """An injector whose one fault is a permanent GPU loss on ``rank``."""
+    return FaultInjector(faults=[GpuFailure(rank=rank, permanent=True)])
 
 
 def test_straggler_slows_makespan(workload):
@@ -55,7 +54,7 @@ def test_invalid_straggler_rejected(workload):
 
 
 def test_failed_gpu_falls_back_to_cpu(workload):
-    res = run(workload, mode="hybrid", failed_gpus={1})
+    res = run(workload, mode="hybrid", fault_injector=failed_gpu(1))
     victim = res.node_results[1].timeline
     other = res.node_results[2].timeline
     assert victim.n_gpu_items == 0
@@ -65,7 +64,7 @@ def test_failed_gpu_falls_back_to_cpu(workload):
 
 def test_failed_gpu_degrades_but_completes(workload):
     clean = run(workload, mode="hybrid")
-    degraded = run(workload, mode="hybrid", failed_gpus={1})
+    degraded = run(workload, mode="hybrid", fault_injector=failed_gpu(1))
     assert degraded.total_tasks == clean.total_tasks
     assert degraded.makespan_seconds > clean.makespan_seconds
     # the fallback node uses its whole CPU: slowdown is bounded
@@ -74,5 +73,5 @@ def test_failed_gpu_degrades_but_completes(workload):
 
 def test_failed_gpu_irrelevant_in_cpu_mode(workload):
     clean = run(workload, mode="cpu").makespan_seconds
-    failed = run(workload, mode="cpu", failed_gpus={0}).makespan_seconds
+    failed = run(workload, mode="cpu", fault_injector=failed_gpu(0)).makespan_seconds
     assert clean == pytest.approx(failed)

@@ -1,5 +1,7 @@
 """Tests for the work-stealing scheduler (repro.cluster.stealing)."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.cluster.stealing import (
     StealingConfig,
     StealingEngine,
+    _board_victim,
     locality_preferences,
 )
 from repro.dht.process_map import ProcessMap, SubtreePartitionMap
@@ -211,6 +214,42 @@ def test_trace_protocol_is_exactly_once():
         for item in rec.ids
     ]
     assert sorted(accumulated) == sorted(f"t{i}" for i in range(len(tasks)))
+
+
+_BOARD_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("depth"), st.integers(0, 7), st.integers(0, 5)),
+        st.tuples(st.just("pick"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+@given(_BOARD_OPS)
+def test_board_victim_matches_a_full_scan(ops):
+    """The lazy-heap board picks what a scan of the whole board picks:
+    the deepest queue other than the thief's, ties to the lowest rank.
+    Depth updates follow the engine's rule — a rank with at least two
+    queued tasks is on the board and pushes a fresh entry."""
+    queues = [[] for _ in range(8)]
+    board: set[int] = set()
+    board_heap: list[tuple[int, int]] = []
+    for op in ops:
+        if op[0] == "depth":
+            _kind, rank, depth = op
+            queues[rank] = [None] * depth
+            if depth >= 2:
+                board.add(rank)
+                heapq.heappush(board_heap, (-depth, rank))
+            else:
+                board.discard(rank)
+            continue
+        thief = op[1]
+        candidates = [r for r in board if r != thief]
+        scan = max(
+            candidates, key=lambda r: (len(queues[r]), -r), default=None
+        )
+        assert _board_victim(board_heap, board, queues, thief) == scan
 
 
 def test_parked_ranks_wake_without_a_full_scan(monkeypatch):

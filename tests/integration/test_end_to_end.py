@@ -19,9 +19,18 @@ def coulomb_problem():
 
 
 @pytest.fixture(scope="module")
-def hybrid_result(coulomb_problem):
+def mode_results(coulomb_problem):
+    """One Apply per execution mode, shared by every test below."""
     density, operator, _exact = coulomb_problem
-    return BatchedApply(operator, make_runtime("hybrid")).apply(density)
+    return {
+        mode: BatchedApply(operator, make_runtime(mode)).apply(density)
+        for mode in ("cpu", "gpu", "hybrid")
+    }
+
+
+@pytest.fixture(scope="module")
+def hybrid_result(mode_results):
+    return mode_results["hybrid"]
 
 
 def test_hybrid_apply_matches_analytic_potential(coulomb_problem, hybrid_result):
@@ -55,23 +64,15 @@ def test_result_survives_compress_truncate_cycle(coulomb_problem, hybrid_result)
     assert abs(v.eval((0.5 + r, 0.5, 0.5)) - exact(r)) / exact(r) < 1e-2
 
 
-def test_three_modes_agree_numerically(coulomb_problem):
-    density, operator, _exact = coulomb_problem
-    results = {
-        mode: BatchedApply(operator, make_runtime(mode)).apply(density).function
-        for mode in ("cpu", "gpu", "hybrid")
-    }
-    ref = results["cpu"]
+def test_three_modes_agree_numerically(mode_results):
+    ref = mode_results["cpu"].function
     for mode in ("gpu", "hybrid"):
-        assert (ref - results[mode]).norm2() < 1e-10
+        assert (ref - mode_results[mode].function).norm2() < 1e-10
 
 
-def test_simulated_times_ordered_sensibly(coulomb_problem):
-    density, operator, _exact = coulomb_problem
+def test_simulated_times_ordered_sensibly(mode_results):
     times = {
-        mode: BatchedApply(operator, make_runtime(mode))
-        .apply(density)
-        .timeline.total_seconds
-        for mode in ("cpu", "gpu", "hybrid")
+        mode: result.timeline.total_seconds
+        for mode, result in mode_results.items()
     }
     assert times["hybrid"] <= 1.15 * min(times["cpu"], times["gpu"])

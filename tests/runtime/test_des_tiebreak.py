@@ -1,11 +1,12 @@
-"""Same-instant tie-breaking is deterministic and engine-independent.
+"""Same-instant tie-breaking is deterministic.
 
 Two layers pin the contract: at the kernel, events scheduled at one
 float instant pop in scheduling order (or in the seeded adversarial
-order under :func:`scheduling_perturbation`) identically on both
-engines; at the dump, same-instant records canonicalize in
-``_OP_STAGE`` order — the ``(at, stage, batch, attempt)`` key the
-calendar queue must preserve through its bucket boundaries.
+order under :func:`scheduling_perturbation`), on the heapq core exactly
+as on the sorted-list reference core; at the dump, same-instant records
+canonicalize in ``_OP_STAGE`` order — the ``(at, stage, batch,
+attempt)`` key — on the heapq core and on the day-bucketed calendar
+reference core.
 """
 
 import random
@@ -13,63 +14,62 @@ import random
 import pytest
 
 from repro.obs.dump import _OP_STAGE
-from repro.obs.scenarios import run_scenario
-from repro.runtime.events import (
-    Environment,
-    des_engine,
-    scheduling_perturbation,
+from repro.runtime.events import Environment, scheduling_perturbation
+from tests.runtime.test_des_equivalence import (
+    CalendarEnvironment,
+    ReferenceEnvironment,
+    run_on_core,
 )
 
 _SAME_INSTANTS = [0.0, 1.0, 0.5883029443769618, 1e-9, 1e6]
 
 
-def _completion_order(engine, instant, n=8, seed=None):
-    """Spawn ``n`` processes all finishing at ``instant``; return the
-    order their completions land in."""
-    with des_engine(engine):
-        if seed is None:
-            env = Environment()
-        else:
-            with scheduling_perturbation(random.Random(seed)):
-                env = Environment()
-        order = []
+def _completion_order(core, instant, n=8, seed=None):
+    """Spawn ``n`` processes all finishing at ``instant`` on ``core``;
+    return the order their completions land in."""
+    if seed is None:
+        env = core()
+    else:
+        with scheduling_perturbation(random.Random(seed)):
+            env = core()
+    order = []
 
-        def worker(name):
-            yield env.timeout(instant)
-            order.append(name)
+    def worker(name):
+        yield env.timeout(instant)
+        order.append(name)
 
-        for name in range(n):
-            env.process(worker(name))
-        env.run()
-        return order
+    for name in range(n):
+        env.process(worker(name))
+    env.run()
+    return order
 
 
 @pytest.mark.parametrize("instant", _SAME_INSTANTS)
 def test_same_instant_pops_in_scheduling_order(instant):
-    """Without perturbation, same-instant ties resolve to spawn order
-    on both engines — the calendar queue keeps every tie in one bucket
-    so the ``(time, draw, seq)`` comparison is never split."""
-    for engine in ("heap", "calendar"):
-        assert _completion_order(engine, instant) == list(range(8)), engine
+    """Without perturbation, same-instant ties resolve to spawn order."""
+    assert _completion_order(Environment, instant) == list(range(8))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
 @pytest.mark.parametrize("instant", _SAME_INSTANTS)
 def test_perturbed_ties_identical_across_engines(instant, seed):
     """Seeded adversarial tie-breaks reorder the instant the same way
-    on both engines (the draw rides inside the queue key)."""
-    heap = _completion_order("heap", instant, seed=seed)
-    calendar = _completion_order("calendar", instant, seed=seed)
-    assert heap == calendar
-    assert sorted(heap) == list(range(8))
+    on the heapq core and the reference core (the draw rides inside
+    the queue key)."""
+    core = _completion_order(Environment, instant, seed=seed)
+    reference = _completion_order(ReferenceEnvironment, instant, seed=seed)
+    assert core == reference
+    assert sorted(core) == list(range(8))
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_dump_same_instant_records_in_op_stage_order(engine):
+@pytest.mark.parametrize(
+    "core", [Environment, CalendarEnvironment], ids=["heap", "calendar"]
+)
+def test_dump_same_instant_records_in_op_stage_order(core, monkeypatch):
     """Canonical dumps list same-instant records in ``_OP_STAGE``
-    order on either engine (the stealing scenario exercises every
-    steal-protocol op)."""
-    dump = run_scenario("stealing", engine=engine).dump
+    order on the heapq core and on the day-bucketed reference core (the
+    stealing scenario exercises every steal-protocol op)."""
+    dump = run_on_core("stealing", monkeypatch, core).dump
     checked = 0
     for rank in dump.ranks:
         log = rank.log
