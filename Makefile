@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence perf-pins
 
 ## check: everything CI runs — in-tree analyzer, race gate, ruff, mypy,
 ## tier-1 tests
@@ -80,6 +80,12 @@ des-equivalence:
 ## block with REPRO_BENCH_WRITE=1 (blocking in CI)
 des-smoke:
 	$(PYTHON) -m pytest benchmarks/test_des_core.py -q
+
+## perf-pins: one short timed pass of each perf/ workload at seed 0;
+## exits non-zero when an output drifts from perf/pins.json or an
+## invariant fails (blocking in CI)
+perf-pins:
+	$(PYTHON) perf/run.py --seed 0 --seconds 1 --trace 0
 
 ## trace-check: just the dynamic happens-before tests
 trace-check:

@@ -46,11 +46,11 @@ class DistributedApplyResult:
     makespan_seconds: float
     node_timelines: list[NodeTimeline] = field(repr=False)
     comm_seconds: list[float] = field(repr=False)
+    #: max/mean of per-rank busy seconds (each rank's timeline span), as
+    #: in :attr:`~repro.cluster.simulation.ClusterResult.imbalance`
+    imbalance: LoadImbalance
     n_messages: int = 0
     message_bytes: int = 0
-    #: always set by :meth:`DistributedApply.apply`; Optional only so the
-    #: dataclass can be built field-by-field in tests
-    imbalance: LoadImbalance | None = None
 
     @property
     def n_ranks(self) -> int:
@@ -156,7 +156,6 @@ class DistributedApply:
             thresh=f.thresh,
             truncate_mode=f.truncate_mode,
         )
-        loads = [float(len(t)) for t in per_rank_tasks]
         return DistributedApplyResult(
             function=function,
             stats=stats,
@@ -165,7 +164,7 @@ class DistributedApply:
             comm_seconds=comm_seconds,
             n_messages=result_dist.messages.n_messages,
             message_bytes=result_dist.messages.bytes_total,
-            imbalance=imbalance_metrics(loads),
+            imbalance=imbalance_metrics([t.total_seconds for t in timelines]),
         )
 
 

@@ -15,7 +15,7 @@ accumulations cross ranks, and those are asynchronous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.apps.workloads import ClusterTask
 from repro.cluster.load_balance import LoadImbalance, imbalance_metrics
@@ -34,7 +34,7 @@ from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.recovery.protocol import RecoveryConfig, run_with_recovery
 from repro.runtime.dispatcher import AdaptiveDispatcher, HybridDispatcher
 from repro.runtime.node import NodeRuntime, NodeTimeline
-from repro.runtime.task import HybridTask
+from repro.runtime.task import HybridTask, WorkItem
 from repro.runtime.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,9 +73,10 @@ class ClusterResult:
     mode: str
     makespan_seconds: float
     node_results: list[NodeResult] = field(repr=False)
-    #: always set by :meth:`ClusterSimulation.run`; Optional only so the
-    #: dataclass can be built field-by-field in tests
-    imbalance: LoadImbalance | None = None
+    #: max/mean of per-rank busy seconds on both paths: a static rank's
+    #: busy time is its timeline span, a stealing rank's the seconds it
+    #: spent executing chunks (steal waits and checkpoints excluded)
+    imbalance: LoadImbalance
     total_tasks: int = 0
     total_messages: int = 0
     total_message_bytes: int = 0
@@ -84,7 +85,8 @@ class ClusterResult:
     #: restarts summed over ranks (checkpoint/restart recovery only)
     total_restarts: int = 0
     #: DES events the scheduling run popped from the queue and fired
-    #: (stealing mode only; pinned by BENCH_cluster.json)
+    #: (pinned by BENCH_cluster.json); 0 on the static path, whose
+    #: ranks run on their own node-runtime clocks
     total_events: int = 0
 
     @property
@@ -96,6 +98,17 @@ class ClusterResult:
             (r.comm_seconds / r.total_seconds if r.total_seconds else 0.0)
             for r in self.node_results
         )
+
+
+class _RankRow(NamedTuple):
+    """One rank's execution, before its accumulate drain is charged."""
+
+    timeline: NodeTimeline
+    n_messages: int
+    message_bytes: int
+    restarts: int
+    #: the rank's load for :attr:`ClusterResult.imbalance`
+    busy_seconds: float
 
 
 class ClusterSimulation:
@@ -233,13 +246,9 @@ class ClusterSimulation:
         self.stealing = stealing
         self.rank_tracers = dict(rank_tracers or {})
         self.registry = registry
-        #: per-(slowdown, gpu_failed, kind) calibrated seconds/task for
-        #: the analytic stealing executor
-        self._analytic_costs: dict[tuple, float] = {}
-        #: per-(slowdown, gpu_failed, item shape) calibrated seconds/item
-        #: for the serving batch executor (shape-keyed, not kind-keyed,
-        #: so per-job kinds in the no-cross-job ablation share entries)
-        self._serve_costs: dict[tuple, float] = {}
+        #: calibrated seconds/item per (slowdown, gpu_failed, batch size,
+        #: item cost fields); see :meth:`_calibrated_seconds`
+        self._calibration: dict[tuple, float] = {}
 
     # -- runtime assembly --------------------------------------------------------
 
@@ -320,17 +329,17 @@ class ClusterSimulation:
     # -- the run ---------------------------------------------------------------------
 
     @staticmethod
-    def _hybrid_task(t: ClusterTask) -> HybridTask:
-        """One cluster task as runtime batch input.
+    def _hybrid_task(item: WorkItem) -> HybridTask:
+        """One work item as runtime batch input.
 
         Preprocess copies the input tensor into the aggregation buffer;
         the operator blocks are cache *lookups* (the write-once CPU
         cache), charged as per-block bookkeeping.
         """
         return HybridTask(
-            work=t.item,
-            pre_bytes=t.item.input_bytes + 64 * len(t.item.block_keys),
-            post_bytes=t.item.output_bytes,
+            work=item,
+            pre_bytes=item.input_bytes + 64 * len(item.block_keys),
+            post_bytes=item.output_bytes,
         )
 
     def _hybrid_tasks(
@@ -342,7 +351,7 @@ class ClusterSimulation:
         message_bytes = 0
         hybrid_tasks: list[HybridTask] = []
         for t in rank_tasks:
-            hybrid_tasks.append(self._hybrid_task(t))
+            hybrid_tasks.append(self._hybrid_task(t.item))
             if self.pmap.owner(t.neighbor) != rank:
                 n_messages += 1
                 message_bytes += t.item.output_bytes
@@ -363,85 +372,64 @@ class ClusterSimulation:
             rank, attach_observers=False, charge_setup=False
         )
         return runtime.execute(
-            [self._hybrid_task(t) for t in chunk]
+            [self._hybrid_task(t.item) for t in chunk]
         ).total_seconds
 
-    def _chunk_seconds_analytic(
-        self, rank: int, chunk: list[ClusterTask]
-    ) -> float:
-        """Calibrated chunk cost for multi-thousand-rank sweeps.
+    # -- calibrated pricing ----------------------------------------------------------
 
-        Per (node spec, task kind) the cost of one chunk-sized batch is
-        measured once on a real runtime and cached as seconds/task; a
-        chunk then prices as the sum of its tasks' calibrated costs.
-        Deterministic: the calibration run is itself a seeded
+    def _calibrated_seconds(
+        self, rank: int, items: list[WorkItem], batch: int
+    ) -> float:
+        """Calibrated cost of ``items`` on ``rank``.
+
+        Per (node spec, batch size, item shape) the cost of one
+        ``batch``-sized batch of the item is measured once on a fresh
+        :class:`NodeRuntime` and cached as seconds/item; ``items`` then
+        price as the sum of their calibrated costs.  The key is the
+        item's cost fields, not its :class:`TaskKind`: one tree level
+        mixes screened ranks (different ``steps``) under one kind, and
+        the no-cross-job serving ablation gives equal shapes per-job
+        kinds.  Deterministic: the calibration run is itself a seeded
         simulation.
         """
-        total = 0.0
-        size = self.stealing.chunk_size if self.stealing else len(chunk)
-        # the rank-dependent key prefix is loop-invariant: hoist it so
-        # the per-task cost is one dict probe on the multi-thousand-rank
-        # sweeps (this is the stealing engine's innermost loop)
         slowdown = self.stragglers.get(rank, 1.0)
         gpu_failed = self._gpu_failed(rank)
-        costs = self._analytic_costs
-        for t in chunk:
-            key = (slowdown, gpu_failed, str(t.item.kind))
-            per_task = costs.get(key)
-            if per_task is None:
+        costs = self._calibration
+        total = 0.0
+        for item in items:
+            key = (
+                slowdown,
+                gpu_failed,
+                batch,
+                item.flops,
+                item.input_bytes,
+                item.output_bytes,
+                len(item.block_keys),
+                item.block_bytes,
+                item.steps,
+                item.step_rows,
+                item.step_q,
+            )
+            per_item = costs.get(key)
+            if per_item is None:
                 runtime = self._make_runtime(
                     rank, attach_observers=False, charge_setup=False
                 )
-                batch = [self._hybrid_task(t)] * max(1, size)
-                per_task = runtime.execute(batch).total_seconds / max(1, size)
-                costs[key] = per_task
-            total += per_task
+                timeline = runtime.execute([self._hybrid_task(item)] * batch)
+                per_item = costs[key] = timeline.total_seconds / batch
+            total += per_item
         return total
 
     # -- open-loop serving -----------------------------------------------------------
 
     _SERVE_CALIBRATION_BATCH = 8
 
-    def serve_batch_seconds(self, rank: int, items: list) -> float:
-        """Calibrated serving batch cost on one rank.
-
-        Per (node spec, item shape) the cost of one calibration-sized
-        batch is measured once on a real :class:`NodeRuntime` and
-        cached as seconds/item; a serving batch then prices as the sum
-        of its items' calibrated costs.  The cache keys on the item
-        *shape* (compute name, Formula 1 quantities, tensor bytes)
-        rather than the full :class:`TaskKind`, so the no-cross-job
-        ablation's per-job kinds reuse one entry.  Deterministic: the
-        calibration run is itself a seeded simulation.
-        """
-        size = self._SERVE_CALIBRATION_BATCH
-        total = 0.0
-        for item in items:
-            key = (
-                self.stragglers.get(rank, 1.0),
-                self._gpu_failed(rank),
-                item.kind.compute_name,
-                item.steps,
-                item.step_rows,
-                item.step_q,
-                item.input_bytes,
-            )
-            per_item = self._serve_costs.get(key)
-            if per_item is None:
-                runtime = self._make_runtime(
-                    rank, attach_observers=False, charge_setup=False
-                )
-                batch = [
-                    HybridTask(
-                        work=item,
-                        pre_bytes=item.input_bytes,
-                        post_bytes=item.output_bytes,
-                    )
-                ] * size
-                per_item = runtime.execute(batch).total_seconds / size
-                self._serve_costs[key] = per_item
-            total += per_item
-        return total
+    def serve_batch_seconds(self, rank: int, items: list[WorkItem]) -> float:
+        """Calibrated serving batch cost on one rank (see
+        :meth:`_calibrated_seconds`)."""
+        return self._calibrated_seconds(
+            rank, items, self._SERVE_CALIBRATION_BATCH
+        )
 
     def serve(self, requests, config=None):
         """Open-loop entry: run a job service against this cluster.
@@ -477,11 +465,13 @@ class ClusterSimulation:
     def _run_stealing(self, tasks: list[ClusterTask]) -> ClusterResult:
         """Execute the workload under the open work-stealing loop."""
         cfg = self.stealing
-        executor = (
-            self._chunk_seconds_runtime
-            if cfg.executor == "runtime"
-            else self._chunk_seconds_analytic
-        )
+        if cfg.executor == "runtime":
+            executor = self._chunk_seconds_runtime
+        else:
+            def executor(rank: int, chunk: list[ClusterTask]) -> float:
+                return self._calibrated_seconds(
+                    rank, [t.item for t in chunk], cfg.chunk_size
+                )
         engine = StealingEngine(
             self.pmap,
             self.network,
@@ -493,87 +483,22 @@ class ClusterSimulation:
             recovery=self.recovery,
         )
         outcome = engine.run(tasks)
-        inj = self.fault_injector
-        total_lost = 0
-        node_results: list[NodeResult] = []
-        for rank in range(self.n_nodes):
-            timeline = NodeTimeline(
-                total_seconds=outcome.finish_seconds[rank],
-                cpu_compute_busy=outcome.busy_seconds[rank],
-                n_tasks=outcome.n_executed[rank],
-                n_batches=outcome.n_chunks[rank],
-            )
-            # off-node accumulates (accumulate-back included) drain
-            # asynchronously, exactly like the static path
-            comm = self.network.drain_seconds(
-                outcome.n_messages[rank], outcome.message_bytes[rank]
-            )
-            n_msg = outcome.n_messages[rank]
-            if inj is not None and inj.active and n_msg:
-                # message loss/delay charge exactly like the static path
-                lost, delay = inj.message_faults(rank, n_msg)
-                if lost:
-                    avg_bytes = outcome.message_bytes[rank] / n_msg
-                    comm += self.network.drain_seconds(
-                        lost, int(lost * avg_bytes)
-                    )
-                    total_lost += lost
-                    if self.registry is not None:
-                        self.registry.counter("cluster.lost_messages").inc(
-                            timeline.total_seconds, lost
-                        )
-                comm += delay
-            tracer = self.rank_tracers.get(rank)
-            if tracer is not None and comm > 0:
-                tracer.record(
-                    "network", "drain",
-                    timeline.total_seconds, timeline.total_seconds + comm,
-                )
-            if self.registry is not None and outcome.n_messages[rank]:
-                self.registry.counter("cluster.messages").inc(
-                    timeline.total_seconds, outcome.n_messages[rank]
-                )
-            rank_restarts = (
-                outcome.restarts_per_rank[rank]
-                if rank < len(outcome.restarts_per_rank)
-                else 0
-            )
-            node_results.append(
-                NodeResult(
-                    rank=rank,
+        rows = [
+            _RankRow(
+                NodeTimeline(
+                    total_seconds=outcome.finish_seconds[rank],
+                    cpu_compute_busy=outcome.busy_seconds[rank],
                     n_tasks=outcome.n_executed[rank],
-                    timeline=timeline,
-                    comm_seconds=comm,
-                    n_messages=outcome.n_messages[rank],
-                    message_bytes=outcome.message_bytes[rank],
-                    crashed_at=(
-                        self.fault_injector.crash_time(rank)
-                        if rank_restarts and self.fault_injector is not None
-                        else None
-                    ),
-                    restarts=rank_restarts,
-                )
+                    n_batches=outcome.n_chunks[rank],
+                ),
+                outcome.n_messages[rank],
+                outcome.message_bytes[rank],
+                outcome.restarts_per_rank[rank],
+                outcome.busy_seconds[rank],
             )
-        makespan = max(r.total_seconds for r in node_results)
-        if self.registry is not None:
-            self.registry.gauge("cluster.makespan_seconds").set(
-                makespan, makespan
-            )
-        # stealing rebalances *time*, so imbalance is measured on busy
-        # seconds (task counts no longer proxy load once tasks migrate)
-        return ClusterResult(
-            n_nodes=self.n_nodes,
-            mode=self.mode,
-            makespan_seconds=makespan,
-            node_results=node_results,
-            imbalance=imbalance_metrics(list(outcome.busy_seconds)),
-            total_tasks=len(tasks),
-            total_messages=sum(outcome.n_messages),
-            total_message_bytes=sum(outcome.message_bytes),
-            total_lost_messages=total_lost,
-            total_restarts=sum(outcome.restarts_per_rank),
-            total_events=outcome.n_events,
-        )
+            for rank in range(self.n_nodes)
+        ]
+        return self._finalize(rows, len(tasks), outcome.n_events)
 
     def run(self, tasks: list[ClusterTask]) -> ClusterResult:
         """Execute the workload; returns makespan and diagnostics."""
@@ -583,31 +508,22 @@ class ClusterSimulation:
         for task in tasks:
             per_rank[self.pmap.owner(task.key)].append(task)
         inj = self.fault_injector
-        crash_schedule: dict[int, tuple[float, ...]] = {}
-        if inj is not None and inj.active:
-            crash_schedule = {
-                r: times
-                for r in range(self.n_nodes)
-                if (times := inj.crash_times(r))
-            }
-        use_recovery = self.recovery is not None and bool(crash_schedule)
-        if crash_schedule and not use_recovery:
+        crashes = inj is not None and any(
+            inj.crash_times(r) for r in range(self.n_nodes)
+        )
+        if crashes and self.recovery is None:
             raise ClusterConfigError(
                 "NodeCrash faults require recovery=RecoveryConfig(...): "
                 "the omniscient redistribution path (perfect foresight of "
                 "the crash schedule) was removed; see docs/FAULTS.md"
             )
-
-        node_results: list[NodeResult] = []
-        total_messages = 0
-        total_message_bytes = 0
-        total_lost = 0
+        rows: list[_RankRow] = []
         for rank, rank_tasks in enumerate(per_rank):
             hybrid_tasks, n_messages, message_bytes = self._hybrid_tasks(
                 rank, rank_tasks
             )
             restarts = 0
-            if hybrid_tasks and use_recovery:
+            if hybrid_tasks and crashes:
                 # every rank checkpoints once crashes are scheduled
                 # anywhere; crashed ranks restore and replay in place
                 recovered = run_with_recovery(
@@ -627,82 +543,91 @@ class ClusterSimulation:
                 timeline = self._make_runtime(rank).execute(hybrid_tasks)
             else:
                 timeline = NodeTimeline(n_tasks=0)
+            rows.append(
+                _RankRow(
+                    timeline, n_messages, message_bytes, restarts,
+                    timeline.total_seconds,
+                )
+            )
+        return self._finalize(rows, len(tasks))
+
+    def _finalize(
+        self, rows: list[_RankRow], total_tasks: int, total_events: int = 0
+    ) -> ClusterResult:
+        """Charge each rank's accumulate drain, record its ``network``
+        lane and the ``cluster.*`` metrics, and assemble the result.
+
+        Off-node accumulates drain asynchronously after the rank's local
+        work.  On top of the clean drain a rank pays for items a restart
+        replayed (they re-send their accumulates) and for injected
+        message faults (each lost message is retransmitted once, delays
+        stall the drain).
+        """
+        inj = self.fault_injector
+        reg = self.registry
+        node_results: list[NodeResult] = []
+        total_lost = 0
+        for rank, row in enumerate(rows):
+            timeline = row.timeline
+            n_messages, message_bytes = row.n_messages, row.message_bytes
+            end = timeline.total_seconds
             comm = self.network.drain_seconds(n_messages, message_bytes)
-            if restarts and n_messages and hybrid_tasks:
-                # replayed items re-send their off-node accumulates
-                frac = timeline.n_replayed_items / len(hybrid_tasks)
+            if timeline.n_replayed_items and n_messages:
+                frac = timeline.n_replayed_items / timeline.n_tasks
                 comm += self.network.drain_seconds(
                     int(n_messages * frac), int(message_bytes * frac)
                 )
             if inj is not None and inj.active and n_messages:
                 lost, delay = inj.message_faults(rank, n_messages)
                 if lost:
-                    # each lost accumulate is retransmitted once
                     avg_bytes = message_bytes / n_messages
                     comm += self.network.drain_seconds(
                         lost, int(lost * avg_bytes)
                     )
                     total_lost += lost
-                    if self.registry is not None:
-                        self.registry.counter("cluster.lost_messages").inc(
-                            timeline.total_seconds, lost
-                        )
+                    if reg is not None:
+                        reg.counter("cluster.lost_messages").inc(end, lost)
                 comm += delay
             tracer = self.rank_tracers.get(rank)
             if tracer is not None and comm > 0:
-                # the un-hidden accumulate drain trails the rank's local
-                # work; exposing it as a lane lets critical-path analysis
-                # attribute communication-bound runs to the network stage
-                tracer.record(
-                    "network", "drain",
-                    timeline.total_seconds, timeline.total_seconds + comm,
-                )
-            if self.registry is not None:
-                reg = self.registry
+                # exposing the un-hidden drain as a lane lets
+                # critical-path analysis attribute communication-bound
+                # runs to the network stage
+                tracer.record("network", "drain", end, end + comm)
+            if reg is not None:
                 if n_messages:
-                    reg.counter("cluster.messages").inc(
-                        timeline.total_seconds, n_messages
-                    )
+                    reg.counter("cluster.messages").inc(end, n_messages)
                 if comm > 0:
-                    reg.histogram("cluster.comm_seconds").observe(
-                        timeline.total_seconds, comm
-                    )
-                if restarts:
-                    reg.counter("cluster.restarts").inc(
-                        timeline.total_seconds, restarts
-                    )
+                    reg.histogram("cluster.comm_seconds").observe(end, comm)
             node_results.append(
                 NodeResult(
                     rank=rank,
-                    n_tasks=len(rank_tasks),
+                    n_tasks=timeline.n_tasks,
                     timeline=timeline,
                     comm_seconds=comm,
                     n_messages=n_messages,
                     message_bytes=message_bytes,
                     crashed_at=(
-                        crash_schedule[rank][0] if restarts else None
+                        inj.crash_time(rank)
+                        if row.restarts and inj is not None
+                        else None
                     ),
-                    restarts=restarts,
+                    restarts=row.restarts,
                 )
             )
-            total_messages += n_messages
-            total_message_bytes += message_bytes
-
         makespan = max(r.total_seconds for r in node_results)
-        if self.registry is not None:
-            self.registry.gauge("cluster.makespan_seconds").set(
-                makespan, makespan
-            )
-        imbalance = imbalance_metrics([float(r.n_tasks) for r in node_results])
+        if reg is not None:
+            reg.gauge("cluster.makespan_seconds").set(makespan, makespan)
         return ClusterResult(
             n_nodes=self.n_nodes,
             mode=self.mode,
             makespan_seconds=makespan,
             node_results=node_results,
-            imbalance=imbalance,
-            total_tasks=len(tasks),
-            total_messages=total_messages,
-            total_message_bytes=total_message_bytes,
+            imbalance=imbalance_metrics([row.busy_seconds for row in rows]),
+            total_tasks=total_tasks,
+            total_messages=sum(row.n_messages for row in rows),
+            total_message_bytes=sum(row.message_bytes for row in rows),
             total_lost_messages=total_lost,
-            total_restarts=sum(r.restarts for r in node_results),
+            total_restarts=sum(row.restarts for row in rows),
+            total_events=total_events,
         )

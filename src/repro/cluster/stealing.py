@@ -125,8 +125,8 @@ class StealingConfig:
             ClusterSimulation` prices a chunk — ``"runtime"`` executes
             each chunk on a fresh thief-side
             :class:`~repro.runtime.node.NodeRuntime` (exact, slow);
-            ``"analytic"`` uses per-kind costs calibrated once per node
-            spec (fast enough for 500-5000 simulated ranks).
+            ``"analytic"`` uses per-item-shape costs calibrated once per
+            node spec (fast enough for 500-5000 simulated ranks).
     """
 
     enabled: bool = True
@@ -243,7 +243,7 @@ class StealingOutcome:
     tasks_rehomed: int = 0
     #: accumulates cancelled by rollbacks (each replays exactly once)
     n_rolled_back: int = 0
-    #: per-rank restarts survived (empty on recovery-less runs)
+    #: per-rank restarts survived (all zero on recovery-less runs)
     restarts_per_rank: list[int] = field(default_factory=list)
     #: DES events the run popped from the queue and fired
     #: (:attr:`~repro.runtime.events.Environment.n_processed`)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.workloads import SyntheticApplyWorkload
 from repro.cluster.simulation import ClusterSimulation
+from repro.cluster.stealing import StealingConfig
 from repro.dht.process_map import HashProcessMap
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
@@ -27,6 +28,15 @@ from repro.faults.models import (
 from repro.recovery import CheckpointCostModel, EveryNBatches, RecoveryConfig
 
 NODES = 4
+
+#: both cluster paths share one result finalizer; message faults must
+#: charge the same way on each
+PATHS = {
+    "static": {},
+    "stealing": {
+        "stealing": StealingConfig(chunk_size=8, executor="analytic")
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +63,9 @@ class TestNodeCrash:
             run(workload, fault_injector=inj)
 
     def test_crash_without_recovery_rejected_under_stealing(self, workload):
-        from repro.cluster.stealing import StealingConfig
-
         inj = FaultInjector(faults=[NodeCrash(rank=2, at=0.001)])
         with pytest.raises(ClusterConfigError, match="recovery="):
-            run(
-                workload,
-                fault_injector=inj,
-                stealing=StealingConfig(chunk_size=8, executor="analytic"),
-            )
+            run(workload, fault_injector=inj, **PATHS["stealing"])
 
     def test_crash_after_completion_recovers_nothing(self, workload):
         clean = run(workload)
@@ -142,6 +146,21 @@ class TestCheckpointRecovery:
         # the victim pays detection + restore + replay
         assert res.makespan_seconds > clean.makespan_seconds
 
+    def test_crash_under_stealing_reports_the_crashed_rank(self, workload):
+        clean = run(workload, **PATHS["stealing"])
+        at = clean.makespan_seconds * 0.4
+        inj = FaultInjector(faults=[NodeCrash(rank=2, at=at)])
+        res = run(workload, fault_injector=inj,
+                  recovery=self.recovery_config(), **PATHS["stealing"])
+        assert res.node_results[2].crashed_at == at
+        assert res.node_results[2].restarts >= 1
+        assert all(
+            r.restarts == 0 and r.crashed_at is None
+            for r in res.node_results
+            if r.rank != 2
+        )
+        assert res.total_restarts == sum(r.restarts for r in res.node_results)
+
     def test_recovery_without_crashes_stays_dormant(self, workload):
         clean = run(workload)
         res = run(
@@ -153,11 +172,12 @@ class TestCheckpointRecovery:
         assert res.makespan_seconds == clean.makespan_seconds
 
 
+@pytest.mark.parametrize("path", sorted(PATHS))
 class TestMessageFaults:
-    def test_loss_charges_retransmits(self, workload):
-        clean = run(workload)
+    def test_loss_charges_retransmits(self, workload, path):
+        clean = run(workload, **PATHS[path])
         inj = FaultInjector(seed=3, faults=[MessageLoss(rate=0.5)])
-        lossy = run(workload, fault_injector=inj)
+        lossy = run(workload, fault_injector=inj, **PATHS[path])
         assert lossy.total_lost_messages > 0
         assert lossy.makespan_seconds >= clean.makespan_seconds
         # compute is untouched: only the network drain grows
@@ -165,12 +185,12 @@ class TestMessageFaults:
             assert a.timeline.total_seconds == b.timeline.total_seconds
             assert a.comm_seconds >= b.comm_seconds
 
-    def test_delay_stalls_drains(self, workload):
-        clean = run(workload)
+    def test_delay_stalls_drains(self, workload, path):
+        clean = run(workload, **PATHS[path])
         inj = FaultInjector(
             faults=[MessageDelay(rate=1.0, delay_seconds=1e-4)]
         )
-        delayed = run(workload, fault_injector=inj)
+        delayed = run(workload, fault_injector=inj, **PATHS[path])
         assert delayed.total_lost_messages == 0
         slower = [
             r
@@ -180,8 +200,9 @@ class TestMessageFaults:
         assert slower, "delays charged nowhere despite off-node messages"
 
 
-def test_zero_fault_injector_is_identity(workload):
-    clean = run(workload)
-    armed = run(workload, fault_injector=FaultInjector(seed=9))
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_zero_fault_injector_is_identity(workload, path):
+    clean = run(workload, **PATHS[path])
+    armed = run(workload, fault_injector=FaultInjector(seed=9), **PATHS[path])
     assert armed.makespan_seconds == clean.makespan_seconds
     assert armed.total_lost_messages == 0

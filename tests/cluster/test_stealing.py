@@ -348,7 +348,6 @@ def test_cluster_simulation_stealing_end_to_end():
     stolen = run(True)
     assert static.total_tasks == stolen.total_tasks == 48
     assert stolen.makespan_seconds < static.makespan_seconds
-    assert stolen.imbalance is not None and static.imbalance is not None
     assert stolen.imbalance.imbalance < static.imbalance.imbalance
     assert sum(r.n_tasks for r in stolen.node_results) == 48
 
@@ -369,6 +368,49 @@ def test_runtime_and_analytic_executors_agree_roughly():
         results[executor] = sim.run(workload.tasks).makespan_seconds
     ratio = results["analytic"] / results["runtime"]
     assert 0.3 < ratio < 3.0
+
+
+def _screened_item(kept: int) -> WorkItem:
+    """A dim-3, k=6 integral task whose operator screening kept ``kept``
+    separated terms.  As in ``tasks_from_function``, all tasks of one
+    tree level share one kind, whatever their screened rank."""
+    q, dim = 12, 3
+    steps = kept * dim
+    return WorkItem(
+        kind=TaskKind("integral_compute", (2, dim, q)),
+        flops=steps * 2 * q ** (dim - 1) * q * q,
+        input_bytes=8 * q**dim,
+        output_bytes=8 * q**dim,
+        block_keys=tuple((2, (1, 0, 0), mu) for mu in range(kept)),
+        block_bytes=kept * q * q * 8,
+        steps=steps,
+        step_rows=q ** (dim - 1),
+        step_q=q,
+    )
+
+
+def test_analytic_executor_prices_each_item_shape():
+    small, large = _screened_item(5), _screened_item(40)
+    assert small.kind == large.kind
+
+    def makespan(items):
+        # one rank: nothing to steal, so the makespan is the sum of the
+        # calibrated chunk costs
+        key = Key(3, (0, 0, 0))
+        sim = ClusterSimulation(
+            1,
+            SlotMap(1),
+            mode="hybrid",
+            stealing=StealingConfig(chunk_size=8, executor="analytic"),
+        )
+        tasks = [ClusterTask(key=key, neighbor=key, item=it) for it in items]
+        return sim.run(tasks).makespan_seconds
+
+    alone_small, alone_large = makespan([small]), makespan([large])
+    assert alone_small < alone_large
+    both = pytest.approx(alone_small + alone_large, rel=1e-12)
+    assert makespan([small, large]) == both
+    assert makespan([large, small]) == both
 
 
 # -- exactly-once as a property ----------------------------------------------------
