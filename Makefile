@@ -3,9 +3,10 @@ export PYTHONPATH := src
 
 .PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence perf-pins
 
-## check: everything CI runs — in-tree analyzer, race gate, ruff, mypy,
-## tier-1 tests
-check: lint lint-tests races ruff mypy test
+## check: what the blocking CI `check` job runs — in-tree analyzer (library
+## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke and
+## perf-pins; the coverage floor and the export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test serve-smoke perf-pins
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import RuntimeConfigError
-from repro.runtime.task import BatchStats, TaskKind, WorkItem
+from repro.runtime.task import TaskKind, WorkItem
 
 
 @dataclass
@@ -34,10 +34,6 @@ class Batch:
     def size(self) -> int:
         """Number of work items in the batch."""
         return len(self.items)
-
-    def stats(self) -> BatchStats:
-        """Aggregate shape of the batch for the kernel cost models."""
-        return BatchStats.of(self.items)
 
 
 @dataclass

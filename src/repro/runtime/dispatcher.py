@@ -43,13 +43,20 @@ def overlap_time(m: float, n: float) -> float:
 
 @dataclass
 class DispatchPlan:
-    """The dispatcher's decision for one batch."""
+    """The dispatcher's decision for one batch.
+
+    ``cpu_stats`` and ``gpu_stats`` are each share's aggregate, exactly
+    ``BatchStats.of(share)``: the node runtime prices and ships each
+    share from these instead of re-aggregating its items.
+    """
 
     cpu_items: list[WorkItem]
     gpu_items: list[WorkItem]
     est_cpu_seconds: float  # m, for the whole batch
     est_gpu_seconds: float  # n, for the whole batch
     cpu_fraction: float
+    cpu_stats: BatchStats
+    gpu_stats: BatchStats
 
 
 class HybridDispatcher:
@@ -61,8 +68,11 @@ class HybridDispatcher:
         gpu_streams: concurrent CUDA streams.
         mode: "cpu" (everything on CPU), "gpu" (all compute on the GPU),
             or "hybrid" (optimal-overlap split).
-        transfer_estimator: callable(BatchStats) -> seconds added to the
-            GPU-side estimate (PCIe cost of the batch inputs).
+
+    A ``transfer_estimator`` — callable(BatchStats) -> seconds added to
+    the GPU-side estimate (PCIe cost of the batch inputs) — is passed per
+    plan, never stored: a dispatcher may be shared between nodes, each
+    with its own PCIe link.  Without one the GPU is charged no transfer.
     """
 
     def __init__(
@@ -73,7 +83,6 @@ class HybridDispatcher:
         cpu_threads: int,
         gpu_streams: int,
         mode: str = "hybrid",
-        transfer_estimator=None,
     ):
         if mode not in MODES:
             raise RuntimeConfigError(f"unknown dispatch mode {mode!r}")
@@ -86,55 +95,64 @@ class HybridDispatcher:
         self.cpu_threads = cpu_threads
         self.gpu_streams = gpu_streams
         self.mode = mode
-        self.transfer_estimator = transfer_estimator or (lambda stats: 0.0)
         # calibration multipliers applied to the raw cost-model estimates;
         # 1.0 here, adjusted online by AdaptiveDispatcher
         self.cpu_time_scale = 1.0
         self.gpu_time_scale = 1.0
 
-    def _estimator(self, transfer_estimator):
-        """Per-plan transfer estimator, defaulting to the constructor's.
-
-        A dispatcher may be shared between nodes (the cluster simulation
-        builds one per rank, but callers are free not to), so per-node
-        estimators are passed per plan instead of mutated onto the
-        instance.
-        """
-        return transfer_estimator if transfer_estimator is not None else (
-            self.transfer_estimator
-        )
-
     # -- estimates ------------------------------------------------------------
+
+    def cpu_share_seconds(self, stats: BatchStats) -> float:
+        """Raw (unscaled) cost-model time of a share on the CPU threads."""
+        return self.cpu_kernel.batch_timing(stats, self.cpu_threads).seconds
+
+    def gpu_share_seconds(self, stats: BatchStats, transfer_estimator=None) -> float:
+        """Raw (unscaled) cost-model time of a share on the GPU streams,
+        plus its PCIe estimate when ``transfer_estimator`` is given."""
+        seconds = self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
+        if transfer_estimator is not None:
+            seconds += transfer_estimator(stats)
+        return seconds
 
     def device_estimates(
         self, stats: BatchStats, transfer_estimator=None
     ) -> tuple[float, float]:
         """(m, n): whole-batch CPU-only and GPU-only durations."""
-        estimate = self._estimator(transfer_estimator)
-        m = (
-            self.cpu_kernel.batch_timing(stats, self.cpu_threads).seconds
-            * self.cpu_time_scale
-        )
-        n = (
-            self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
-            + estimate(stats)
-        ) * self.gpu_time_scale
+        m = self.cpu_share_seconds(stats) * self.cpu_time_scale
+        n = self.gpu_share_seconds(stats, transfer_estimator) * self.gpu_time_scale
         return m, n
 
     # -- planning ---------------------------------------------------------------
 
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split one flushed batch per the configured mode (cpu/gpu/hybrid)."""
-        stats = batch.stats()
+        items = batch.items
+        stats = BatchStats.of(items)
         m, n = self.device_estimates(stats, transfer_estimator)
         if self.mode == "cpu":
-            return DispatchPlan(list(batch.items), [], m, n, 1.0)
+            return self._cut_plan(items, len(items), stats, m, n, 1.0)
         if self.mode == "gpu":
-            return DispatchPlan([], list(batch.items), m, n, 0.0)
-        cut = self._best_cut(batch.items, transfer_estimator)
-        cpu_items, gpu_items = list(batch.items[:cut]), list(batch.items[cut:])
-        k = self._fraction(cpu_items, batch.items)
-        return DispatchPlan(cpu_items, gpu_items, m, n, k)
+            return self._cut_plan(items, 0, stats, m, n, 0.0)
+        cut = self._best_cut(items, transfer_estimator)
+        k = self._fraction(items[:cut], items)
+        return self._cut_plan(items, cut, stats, m, n, k)
+
+    @staticmethod
+    def _cut_plan(
+        items: list[WorkItem], cut: int, stats: BatchStats,
+        m: float, n: float, k: float,
+    ) -> DispatchPlan:
+        """The plan sending ``items[:cut]`` to the CPU and the rest to the
+        GPU; a share that is the whole batch reuses its aggregate
+        ``stats``."""
+        cpu_items, gpu_items = list(items[:cut]), list(items[cut:])
+        if not gpu_items:
+            cpu_stats, gpu_stats = stats, BatchStats()
+        elif not cpu_items:
+            cpu_stats, gpu_stats = BatchStats(), stats
+        else:
+            cpu_stats, gpu_stats = BatchStats.of(cpu_items), BatchStats.of(gpu_items)
+        return DispatchPlan(cpu_items, gpu_items, m, n, k, cpu_stats, gpu_stats)
 
     @staticmethod
     def _fraction(cpu_items: list[WorkItem], items) -> float:
@@ -149,6 +167,8 @@ class HybridDispatcher:
     # -- split search ----------------------------------------------------------
 
     def _cpu_seconds(self, items: list[WorkItem]) -> float:
+        """Reference: scaled CPU time of ``items``, aggregated from scratch
+        (what :meth:`_best_cut`'s running prefixes must reproduce)."""
         if not items:
             return 0.0
         return (
@@ -159,13 +179,15 @@ class HybridDispatcher:
         )
 
     def _gpu_seconds(self, items: list[WorkItem], transfer_estimator=None) -> float:
+        """Reference: scaled GPU time of ``items``, aggregated from scratch
+        (what :meth:`_best_cut`'s running suffixes must reproduce)."""
         if not items:
             return 0.0
-        estimate = self._estimator(transfer_estimator)
         stats = BatchStats.of(items)
+        transfer = transfer_estimator(stats) if transfer_estimator is not None else 0.0
         return (
             self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
-            + estimate(stats)
+            + transfer
         ) * self.gpu_time_scale
 
     def _best_cut(self, items: list[WorkItem], transfer_estimator=None) -> int:
@@ -179,7 +201,6 @@ class HybridDispatcher:
         share small or empty.  All cuts are evaluated exactly, using
         prefix/suffix aggregate statistics built in one pass each.
         """
-        estimate = self._estimator(transfer_estimator)
         n = len(items)
         prefixes = self._running_stats(items)
         suffixes = self._running_stats(list(reversed(items)))
@@ -187,17 +208,12 @@ class HybridDispatcher:
         best_time = None
         for cut in range(n + 1):
             cpu_t = (
-                self.cpu_kernel.batch_timing(prefixes[cut], self.cpu_threads).seconds
-                * self.cpu_time_scale
+                self.cpu_share_seconds(prefixes[cut]) * self.cpu_time_scale
                 if cut
                 else 0.0
             )
-            gpu_stats = suffixes[n - cut]
             gpu_t = (
-                (
-                    self.gpu_kernel.batch_timing(gpu_stats, self.gpu_streams).seconds
-                    + estimate(gpu_stats)
-                )
+                self.gpu_share_seconds(suffixes[n - cut], transfer_estimator)
                 * self.gpu_time_scale
                 if cut < n
                 else 0.0
@@ -209,14 +225,11 @@ class HybridDispatcher:
         return best_cut
 
     @staticmethod
-    def _split_by_flops(
-        items: list[WorkItem], cpu_fraction: float
-    ) -> tuple[list[WorkItem], list[WorkItem]]:
-        """Prefix the CPU's share by cumulative FLOPs (stable order)."""
+    def _flops_cut(items: list[WorkItem], cpu_fraction: float) -> int:
+        """Length of the CPU's prefix by cumulative FLOPs (stable order)."""
         total = sum(it.flops for it in items)
         if total == 0:
-            cut = int(round(cpu_fraction * len(items)))
-            return list(items[:cut]), list(items[cut:])
+            return int(round(cpu_fraction * len(items)))
         target = cpu_fraction * total
         acc = 0
         cut = 0
@@ -225,12 +238,14 @@ class HybridDispatcher:
                 break
             acc += it.flops
             cut = i + 1
-        return list(items[:cut]), list(items[cut:])
+        return cut
 
     @staticmethod
     def _running_stats(items: list[WorkItem]) -> list[BatchStats]:
-        """Aggregate statistics of every prefix of ``items`` (length n+1,
-        entry 0 empty), built incrementally in O(n)."""
+        """Cost fields of every prefix of ``items`` (length n+1, entry 0
+        empty), built in one pass.  ``block_keys`` stays empty: the cost
+        models read only ``unique_block_bytes``, so one seen-key set
+        serves every prefix."""
         out = [BatchStats()]
         acc = BatchStats()
         seen: set = set()
@@ -244,14 +259,12 @@ class HybridDispatcher:
                 step_rows=max(acc.step_rows, it.step_rows),
                 step_q=max(acc.step_q, it.step_q),
                 unique_block_bytes=acc.unique_block_bytes,
-                block_keys=acc.block_keys,
             )
             new = [k for k in it.block_keys if k not in seen]
             if new:
                 seen.update(new)
                 per_block = it.block_bytes / max(1, len(it.block_keys))
                 acc.unique_block_bytes += int(per_block * len(new))
-            acc.block_keys = set(seen)
             out.append(acc)
         return out
 
@@ -275,7 +288,6 @@ class StaticSplitDispatcher(HybridDispatcher):
         cpu_fraction: float,
         cpu_threads: int,
         gpu_streams: int,
-        transfer_estimator=None,
     ):
         if not 0.0 <= cpu_fraction <= 1.0:
             raise RuntimeConfigError(
@@ -287,18 +299,16 @@ class StaticSplitDispatcher(HybridDispatcher):
             cpu_threads=cpu_threads,
             gpu_streams=gpu_streams,
             mode="hybrid",
-            transfer_estimator=transfer_estimator,
         )
         self.cpu_fraction = cpu_fraction
 
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split the batch at the fixed developer-chosen CPU fraction."""
-        stats = batch.stats()
+        items = batch.items
+        stats = BatchStats.of(items)
         m, n = self.device_estimates(stats, transfer_estimator)
-        cpu_items, gpu_items = self._split_by_flops(
-            batch.items, self.cpu_fraction
-        )
-        return DispatchPlan(cpu_items, gpu_items, m, n, self.cpu_fraction)
+        cut = self._flops_cut(items, self.cpu_fraction)
+        return self._cut_plan(items, cut, stats, m, n, self.cpu_fraction)
 
 
 class AdaptiveDispatcher(HybridDispatcher):
@@ -332,7 +342,6 @@ class AdaptiveDispatcher(HybridDispatcher):
         *,
         cpu_threads: int,
         gpu_streams: int,
-        transfer_estimator=None,
         cpu_scale: float = 1.0,
         gpu_scale: float = 1.0,
         ewma_alpha: float = 0.5,
@@ -352,7 +361,6 @@ class AdaptiveDispatcher(HybridDispatcher):
             cpu_threads=cpu_threads,
             gpu_streams=gpu_streams,
             mode="hybrid",
-            transfer_estimator=transfer_estimator,
         )
         self.cpu_time_scale = cpu_scale
         self.gpu_time_scale = gpu_scale

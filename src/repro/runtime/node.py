@@ -57,6 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> runtime)
 #: tasks whose preprocess is charged as one lump to keep event counts low
 _PRE_CHUNK = 32
 
+#: dispatched batches admitted to the pipeline at once; batches beyond
+#: the window queue un-planned, so a calibrating dispatcher plans them
+#: with feedback from completed ones
+_ADMISSION_WINDOW = 4
+
 
 @dataclass
 class NodeTimeline:
@@ -133,12 +138,9 @@ class NodeRuntime:
         data_threads: int = 2,
         flush_interval: float = 0.01,
         max_batch_size: int = 60,
-        buffer_pool: PinnedBufferPool | None = None,
-        gpu_cache: GpuBlockCache | None = None,
         charge_setup: bool = True,
         naive_port: bool = False,
         pipelined: bool = True,
-        max_inflight_batches: int = 4,
         tracer: "Tracer | None" = None,
         fault_injector: "FaultInjector | None" = None,
         retry_policy: "RetryPolicy | None" = None,
@@ -179,10 +181,6 @@ class NodeRuntime:
         schedule, so the timeline is identical with or without one."""
         if data_threads < 1:
             raise RuntimeConfigError(f"data_threads must be >= 1, got {data_threads}")
-        if max_inflight_batches < 1:
-            raise RuntimeConfigError(
-                f"max_inflight_batches must be >= 1, got {max_inflight_batches}"
-            )
         self.spec = spec
         self.dispatcher = dispatcher
         self.cpu_model = CpuModel(spec.cpu)
@@ -194,14 +192,10 @@ class NodeRuntime:
             flush_interval = min(flush_interval, 1e-6)
             pipelined = False  # the strawman predates the pipeline
         self.pipelined = pipelined
-        #: dispatched batches admitted to the pipeline at once; batches
-        #: beyond the window queue un-planned, so a calibrating
-        #: dispatcher plans them with feedback from completed ones
-        self.max_inflight_batches = max_inflight_batches
         self.flush_interval = flush_interval
         self.max_batch_size = max_batch_size
-        self.buffer_pool = buffer_pool or PinnedBufferPool(spec.pcie)
-        self.gpu_cache = gpu_cache or GpuBlockCache(spec.gpu.ram_bytes)
+        self.buffer_pool = PinnedBufferPool(spec.pcie)
+        self.gpu_cache = GpuBlockCache(spec.gpu.ram_bytes)
         self.charge_setup = charge_setup and not naive_port
         self.tracer = tracer
         self.fault_injector = fault_injector
@@ -281,7 +275,7 @@ class NodeRuntime:
                 pcie_to=Resource(env, 1),
                 pcie_from=Resource(env, 1),
                 data=Resource(env, 1),
-                admit=Resource(env, self.max_inflight_batches),
+                admit=Resource(env, _ADMISSION_WINDOW),
                 stage=Resource(env, self.buffer_pool.stage_slots),
             )
         pcie = Resource(env, 1)
@@ -483,46 +477,45 @@ class NodeRuntime:
             gpu_scale=self.dispatcher.gpu_time_scale,
             dispatched_at=env.now,
         )
-        gpu_items = plan.gpu_items
-        replanned: list = []
-        if self._chaos and gpu_items:
+        # the resilience layer may keep the GPU share on the host
+        gpu_on_host = False
+        if self._chaos and plan.gpu_items:
             ctl = self.degraded_mode
             if ctl is not None and ctl.degraded and not ctl.should_probe(env.now):
                 # graceful degradation: the GPU share never leaves the host
-                replanned, gpu_items = gpu_items, []
+                gpu_on_host = True
                 rec.degraded = True
             elif self.gpu_timeout is not None:
-                g_stats = BatchStats.of(gpu_items)
-                est = (
-                    self.dispatcher.gpu_kernel.batch_timing(
-                        g_stats, self.dispatcher.gpu_streams
-                    ).seconds
-                    + self._transfer_estimate(g_stats)
+                # the watchdog would kill it anyway: re-plan CPU-side
+                est = self.dispatcher.gpu_share_seconds(
+                    plan.gpu_stats, self._transfer_estimate
                 )
-                if est > self.gpu_timeout.timeout_seconds:
-                    # the watchdog would kill it anyway: re-plan CPU-side
-                    replanned, gpu_items = gpu_items, []
+                gpu_on_host = est > self.gpu_timeout.timeout_seconds
         parts = []
         if plan.cpu_items:
             parts.append(
                 env.process(
-                    self._cpu_part(env, plan.cpu_items, pools, rec, index)
-                )
-            )
-        if gpu_items:
-            parts.append(
-                env.process(
-                    self._gpu_part(
-                        env, batch.kind, gpu_items, timeline, pools,
-                        inflight, rec, index,
+                    self._cpu_share(
+                        env, plan.cpu_items, plan.cpu_stats, timeline, pools,
+                        rec, index,
                     )
                 )
             )
-        if replanned:
+        if plan.gpu_items and gpu_on_host:
             parts.append(
                 env.process(
-                    self._cpu_fallback(
-                        env, replanned, timeline, pools, rec, index
+                    self._cpu_share(
+                        env, plan.gpu_items, plan.gpu_stats, timeline, pools,
+                        rec, index, fallback=True,
+                    )
+                )
+            )
+        elif plan.gpu_items:
+            parts.append(
+                env.process(
+                    self._gpu_part(
+                        env, batch.kind, plan.gpu_items, plan.gpu_stats,
+                        timeline, pools, inflight, rec, index,
                     )
                 )
             )
@@ -605,12 +598,8 @@ class NodeRuntime:
             return
         raw_gpu_est = 0.0
         if plan.gpu_items:
-            gpu_stats = BatchStats.of(plan.gpu_items)
-            raw_gpu_est = (
-                self.dispatcher.gpu_kernel.batch_timing(
-                    gpu_stats, self.dispatcher.gpu_streams
-                ).seconds
-                + self._transfer_estimate(gpu_stats)
+            raw_gpu_est = self.dispatcher.gpu_share_seconds(
+                plan.gpu_stats, self._transfer_estimate
             )
         observe(
             est_cpu_seconds=rec.measured_cpu_seconds,  # raw model == charge
@@ -644,64 +633,46 @@ class NodeRuntime:
             for i in range(n)
         ]
 
-    def _cpu_part(self, env, items, pools, rec, batch=-1):
-        stats = BatchStats.of(items)
-        timing = self.dispatcher.cpu_kernel.batch_timing(
-            stats, self.dispatcher.cpu_threads
-        )
-        seconds = timing.seconds
+    def _cpu_share(self, env, items, stats, timeline, pools, rec, batch=-1,
+                   fallback=False):
+        """Run a share on the CPU compute pool and keep its results.
+
+        The share is either the batch's planned CPU share or, with
+        ``fallback``, its GPU share replayed on the CPU — the
+        re-execution path of the resilience layer: items whose GPU share
+        exhausted its retry budget, tripped the batch timeout, or
+        arrived while the node was degraded run here exactly once, and
+        the postprocess accumulate happens once per batch regardless of
+        how the compute share was (re)placed.
+        """
+        seconds = self.dispatcher.cpu_share_seconds(stats)
         if self._chaos:
             seconds *= self.fault_injector.compute_slowdown(self.rank, env.now)
+        label = f"{len(items)} items"
+        if fallback:
+            label = f"fallback {label}"
         # one CPU compute task is single-threaded, so the share occupies
         # min(threads, items) slots — the kernel model already clamps its
         # duration the same way
-        n_slices = (
-            min(self.dispatcher.cpu_threads, len(items)) if self.pipelined else 1
-        )
         slices = self._occupy_slices(
-            env, pools.compute, n_slices, seconds, "cpu",
-            f"{len(items)} items", batch,
+            env, pools.compute, min(self.dispatcher.cpu_threads, len(items)),
+            seconds, "cpu", label, batch,
         )
         yield AllOf(env, slices)
-        rec.measured_cpu_seconds = seconds
-        self._run_numeric(self.dispatcher.cpu_kernel, items, None)
-
-    def _cpu_fallback(self, env, items, timeline, pools, rec, batch=-1):
-        """Replay GPU-planned items on the CPU compute pool.
-
-        The re-execution path of the resilience layer: items whose GPU
-        share exhausted its retry budget, tripped the batch timeout, or
-        arrived while the node was degraded run here exactly once — the
-        postprocess accumulate happens once per batch regardless of how
-        the compute share was (re)placed.
-        """
-        stats = BatchStats.of(items)
-        timing = self.dispatcher.cpu_kernel.batch_timing(
-            stats, self.dispatcher.cpu_threads
-        )
-        seconds = timing.seconds
-        if self._chaos:
-            seconds *= self.fault_injector.compute_slowdown(self.rank, env.now)
-        n_slices = (
-            min(self.dispatcher.cpu_threads, len(items)) if self.pipelined else 1
-        )
-        slices = self._occupy_slices(
-            env, pools.compute, n_slices, seconds, "cpu",
-            f"fallback {len(items)} items", batch,
-        )
-        yield AllOf(env, slices)
-        rec.fallback_items += len(items)
-        timeline.n_gpu_items -= len(items)
-        timeline.n_cpu_items += len(items)
-        if self.registry is not None:
-            self.registry.counter("faults.fallback_items").inc(
-                env.now, len(items)
-            )
+        if fallback:
+            rec.fallback_items += len(items)
+            timeline.n_gpu_items -= len(items)
+            timeline.n_cpu_items += len(items)
+            if self.registry is not None:
+                self.registry.counter("faults.fallback_items").inc(
+                    env.now, len(items)
+                )
+        else:
+            rec.measured_cpu_seconds = seconds
         self._run_numeric(self.dispatcher.cpu_kernel, items, timeline)
 
-    def _gpu_part(self, env, kind, items, timeline, pools, inflight, rec,
-                  batch_index=0):
-        stats = BatchStats.of(items)
+    def _gpu_part(self, env, kind, items, stats, timeline, pools, inflight,
+                  rec, batch_index=0):
         # double-buffered staging: hold one aggregation buffer from
         # transfer start until the kernel has consumed it.  Acquired
         # *before* the cache reservation — a shipper that has marked
@@ -724,20 +695,11 @@ class NodeRuntime:
             bytes_in = stats.input_bytes + block_bytes
         else:
             per_block = stats.unique_block_bytes / max(1, len(stats.block_keys))
-            # unique keys in first-use order (deterministic, unlike the
-            # aggregate stats' set)
-            ordered_keys: list = []
-            seen: set = set()
-            for it in items:
-                for k in it.block_keys:
-                    if k not in seen:
-                        seen.add(k)
-                        ordered_keys.append(k)
             # two-phase write-once cache: reserve now, resident only when
             # the transfer completes — a concurrent batch sees in-flight
             # blocks as *waits*, not hits (the TOCTOU fix)
-            ticket = self.gpu_cache.begin_transfer(ordered_keys, per_block)
-            self._log_begin_transfer(kind, ordered_keys, env.now, batch_index)
+            ticket = self.gpu_cache.begin_transfer(stats.block_keys, per_block)
+            self._log_begin_transfer(kind, stats.block_keys, env.now, batch_index)
             arrival_events = [
                 inflight[k] for k in ticket.wait_keys if k in inflight
             ]
@@ -796,41 +758,24 @@ class NodeRuntime:
                 env.now, rec.block_wait_seconds
             )
 
-        timing = self.dispatcher.gpu_kernel.batch_timing(
-            stats, self.dispatcher.gpu_streams
-        )
         block_keys_read = (
             ticket.ship_keys + ticket.wait_keys + ticket.hit_keys
             if ticket is not None
             else ()
         )
-        n_slices = (
-            min(self.dispatcher.gpu_streams, len(items)) if self.pipelined else 1
+        gpu_ok = yield from self._gpu_compute_attempts(
+            env, kind, items, pools, rec,
+            self.dispatcher.gpu_share_seconds(stats), block_keys_read,
+            batch_index,
         )
-        if not self._chaos:
-            if ticket is not None:
-                self._log_gpu_compute(
-                    kind, block_keys_read, env.now, 0, batch_index
-                )
-            slices = self._occupy_slices(
-                env, pools.gpu, n_slices, timing.seconds, "gpu",
-                f"{len(items)} items", batch_index,
-            )
-            yield AllOf(env, slices)
-            rec.measured_gpu_seconds = timing.seconds
-            gpu_ok = True
-        else:
-            gpu_ok = yield from self._gpu_compute_attempts(
-                env, kind, items, pools, rec, timing.seconds, n_slices,
-                block_keys_read, batch_index,
-            )
         if pools.stage is not None:
             pools.stage.release()
         if not gpu_ok:
             # retry budget exhausted (or the node degraded mid-batch):
             # the share replays on the CPU; no device→host drain happens
-            yield from self._cpu_fallback(
-                env, items, timeline, pools, rec, batch_index
+            yield from self._cpu_share(
+                env, items, stats, timeline, pools, rec, batch_index,
+                fallback=True,
             )
             return
 
@@ -854,10 +799,10 @@ class NodeRuntime:
         self._run_numeric(self.dispatcher.gpu_kernel, items, timeline)
 
     def _gpu_compute_attempts(
-        self, env, kind, items, pools, rec, compute_seconds, n_slices,
-        block_keys, batch_index,
+        self, env, kind, items, pools, rec, compute_seconds, block_keys,
+        batch_index,
     ):
-        """Fault-aware GPU compute: attempt → fault? → backoff → retry.
+        """GPU compute: attempt → fault? → backoff → retry.
 
         Each attempt is an independent seeded trial; a faulted attempt
         occupies its stream slots for at most the watchdog timeout (the
@@ -865,16 +810,24 @@ class NodeRuntime:
         backs off per the retry policy before requeueing.  Returns True
         when an attempt completed, False when the caller must replay the
         share CPU-side.  Operator blocks were committed at transfer time,
-        so retries hit the write-once cache instead of re-shipping.
+        so retries hit the write-once cache instead of re-shipping.  With
+        no faults registered the first attempt completes, and no
+        injector, retry or degraded-mode code runs.
         """
-        inj = self.fault_injector
-        ctl = self.degraded_mode
+        inj = self.fault_injector if self._chaos else None
+        ctl = self.degraded_mode if self._chaos else None
+        n_slices = min(self.dispatcher.gpu_streams, len(items))
         attempt = 0
         while True:
-            seconds = compute_seconds * inj.compute_slowdown(self.rank, env.now)
-            faulted = inj.gpu_batch_fault(self.rank, batch_index, attempt, env.now)
-            if faulted and self.gpu_timeout is not None:
-                seconds = min(seconds, self.gpu_timeout.timeout_seconds)
+            seconds = compute_seconds
+            faulted = False
+            if inj is not None:
+                seconds *= inj.compute_slowdown(self.rank, env.now)
+                faulted = inj.gpu_batch_fault(
+                    self.rank, batch_index, attempt, env.now
+                )
+                if faulted and self.gpu_timeout is not None:
+                    seconds = min(seconds, self.gpu_timeout.timeout_seconds)
             label = f"{len(items)} items"
             if attempt:
                 label += f" [try {attempt + 1}]"

@@ -21,7 +21,7 @@ safely aggregatable into one transfer buffer.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -116,11 +116,14 @@ class BatchStats:
     step_rows: int = 0
     step_q: int = 0
     unique_block_bytes: int = 0
-    block_keys: set = field(default_factory=set)
+    #: the items' unique operator-block keys, in first-use order
+    block_keys: tuple[Hashable, ...] = ()
 
     @classmethod
     def of(cls, items: list[WorkItem]) -> "BatchStats":
-        """Aggregate ``items``, deduplicating operator-block bytes."""
+        """Aggregate ``items``, deduplicating operator-block bytes (each
+        block is charged at the per-block size of the item that first
+        uses it)."""
         stats = cls()
         seen: dict[Hashable, None] = {}
         for it in items:
@@ -137,5 +140,5 @@ class BatchStats:
             if it.block_keys:
                 per_block = it.block_bytes / max(1, len(it.block_keys))
                 stats.unique_block_bytes += int(per_block * len(new))
-        stats.block_keys = set(seen)
+        stats.block_keys = tuple(seen)
         return stats

@@ -11,6 +11,7 @@ from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.batching import Batch
+from repro.runtime.buffers import PinnedBufferPool
 from repro.runtime.dispatcher import (
     AdaptiveDispatcher,
     HybridDispatcher,
@@ -107,14 +108,21 @@ def test_split_tracks_flops_fraction():
     assert abs(cpu_share - plan.cpu_fraction) < 0.05
 
 
+def pcie_estimate(stats: BatchStats) -> float:
+    """The node runtime's per-plan transfer estimate over Titan's PCIe."""
+    pool = PinnedBufferPool(TITAN_NODE.pcie)
+    return pool.plan(stats.input_bytes + stats.unique_block_bytes).total_seconds
+
+
 def test_faster_gpu_means_smaller_cpu_share():
-    """If the GPU estimate improves, the CPU keeps less work."""
+    """If the GPU estimate improves, the CPU keeps less work: a plan
+    charged no PCIe time sends less to the CPU than one charged the
+    batch's transfer."""
     disp = _make_dispatcher("hybrid")
-    plan_small = disp.plan(_batch(flops=1_000_000))
-    disp_fast_gpu = _make_dispatcher("hybrid")
-    disp_fast_gpu.transfer_estimator = lambda stats: 0.0
-    plan_zero_transfer = disp_fast_gpu.plan(_batch(flops=1_000_000))
-    assert plan_zero_transfer.cpu_fraction <= plan_small.cpu_fraction + 1e-9
+    plan_pcie = disp.plan(_batch(), transfer_estimator=pcie_estimate)
+    plan_free = disp.plan(_batch())
+    assert plan_pcie.est_gpu_seconds > plan_free.est_gpu_seconds
+    assert plan_free.cpu_fraction < plan_pcie.cpu_fraction
 
 
 def test_unknown_mode_rejected():
@@ -147,16 +155,16 @@ def test_zero_flop_batch_reports_item_fraction():
 
 
 def test_per_plan_transfer_estimator_does_not_stick():
-    """plan() takes the transfer estimator per call; the instance default
-    must survive untouched so shared dispatchers stay uncorrupted."""
+    """plan() takes the transfer estimator per call and keeps none, so a
+    shared dispatcher plans a batch the same before and after it."""
     disp = _make_dispatcher("hybrid")
-    default = disp.transfer_estimator
+    plan_before = disp.plan(_batch(flops=1_000_000))
     expensive = lambda stats: 10.0  # noqa: E731
     plan_slow = disp.plan(_batch(flops=1_000_000), transfer_estimator=expensive)
-    assert disp.transfer_estimator is default
-    plan_default = disp.plan(_batch(flops=1_000_000))
+    plan_after = disp.plan(_batch(flops=1_000_000))
+    assert plan_after == plan_before
     # a 10s transfer charge must push work off the GPU
-    assert plan_slow.cpu_fraction >= plan_default.cpu_fraction
+    assert plan_slow.cpu_fraction >= plan_before.cpu_fraction
 
 
 def _make_adaptive(**kwargs):

@@ -7,8 +7,10 @@ from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.kernels.cpu_kernel import CpuMtxmKernel
+from repro.lint.trace_check import find_violations
 from repro.runtime.dispatcher import HybridDispatcher
 from repro.runtime.node import NodeRuntime
+from repro.runtime.trace import Tracer
 from tests.runtime.test_node_runtime import make_tasks
 
 
@@ -57,3 +59,17 @@ def test_naive_port_same_task_accounting():
     tl = _runtime(naive=True).execute(make_tasks(30))
     assert tl.n_tasks == 30
     assert tl.n_gpu_items == 30
+
+
+def test_naive_port_trace_records_each_gpu_kernel():
+    """The naive port has no device cache, so each GPU kernel reads no
+    cached blocks — but its launch is still on the happens-before log."""
+    rt = _runtime(naive=True)
+    rt.tracer = Tracer()
+    tl = rt.execute(make_tasks(30))
+    computes = [r for r in rt.tracer.log if r.op == "gpu_compute"]
+    gpu_batches = sum(1 for b in tl.metrics.batches if b.n_gpu_items)
+    assert gpu_batches == 30
+    assert len(computes) == gpu_batches
+    assert all(r.ids == () for r in computes)
+    assert find_violations(rt.tracer.log) == []

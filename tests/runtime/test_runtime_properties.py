@@ -1,5 +1,7 @@
 """Property-based tests of the DES engine and the dispatcher split."""
 
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,10 @@ from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.batching import Batch
-from repro.runtime.dispatcher import HybridDispatcher
+from repro.runtime.dispatcher import HybridDispatcher, StaticSplitDispatcher
 from repro.runtime.events import Environment, Resource
 from repro.runtime.task import BatchStats, TaskKind, WorkItem
+from tests.runtime.test_dispatcher import pcie_estimate
 
 
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20), st.integers(1, 4))
@@ -128,3 +131,60 @@ def test_batch_stats_additive(n):
     assert whole.flops == first.flops + second.flops
     assert whole.n_items == first.n_items + second.n_items
     assert whole.steps == first.steps + second.steps
+
+
+#: BatchStats fields the kernel cost models read (all but block_keys)
+COST_FIELDS = [f.name for f in fields(BatchStats) if f.name != "block_keys"]
+
+_shared_block_items = st.lists(
+    st.builds(
+        WorkItem,
+        kind=st.just(TaskKind("t", 0)),
+        flops=st.integers(1_000_000, 200_000_000),
+        input_bytes=st.integers(0, 1 << 20),
+        output_bytes=st.integers(0, 1 << 20),
+        # a small key pool, so items share blocks; each item's block_bytes
+        # is drawn on its own, so the per-key size differs between items
+        block_keys=st.lists(st.integers(0, 7), max_size=5, unique=True).map(tuple),
+        block_bytes=st.integers(0, 1 << 22),
+        steps=st.integers(1, 300),
+        step_rows=st.integers(1, 400),
+        step_q=st.integers(1, 30),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(_shared_block_items, st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_share_aggregates_match_their_reference(items, static_fraction):
+    """The dispatcher's aggregates equal ``BatchStats.of`` built from
+    scratch: the split search's running prefixes on every cost field
+    (block-byte dedup included), and each plan's share stats field for
+    field."""
+    for i, prefix in enumerate(HybridDispatcher._running_stats(items)):
+        reference = BatchStats.of(items[:i])
+        for name in COST_FIELDS:
+            assert getattr(prefix, name) == getattr(reference, name), (i, name)
+
+    first_use = list(dict.fromkeys(k for it in items for k in it.block_keys))
+    assert BatchStats.of(items).block_keys == tuple(first_use)
+
+    cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
+    gpu = CustomGpuKernel(GpuModel(TITAN_NODE.gpu))
+    dispatchers = [
+        HybridDispatcher(cpu, gpu, cpu_threads=10, gpu_streams=5, mode=mode)
+        for mode in ("cpu", "gpu", "hybrid")
+    ]
+    dispatchers.append(
+        StaticSplitDispatcher(
+            cpu, gpu, cpu_fraction=static_fraction, cpu_threads=10, gpu_streams=5
+        )
+    )
+    batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
+    for disp in dispatchers:
+        plan = disp.plan(batch, transfer_estimator=pcie_estimate)
+        assert plan.cpu_items + plan.gpu_items == items
+        assert plan.cpu_stats == BatchStats.of(plan.cpu_items)
+        assert plan.gpu_stats == BatchStats.of(plan.gpu_items)

@@ -58,7 +58,7 @@ def test_batch_stats_aggregation():
     assert stats.input_bytes == 200
     assert stats.output_bytes == 100
     assert stats.steps == 6
-    assert stats.block_keys == {"a", "b", "c"}
+    assert stats.block_keys == ("a", "b", "c")  # unique, in first-use order
 
 
 def test_batch_stats_unique_block_bytes_dedups():
