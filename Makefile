@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence perf-pins
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence perf-pins examples
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
-## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke and
-## perf-pins; the coverage floor and the export `cmp` stay CI-only
-check: lint lint-tests races ruff mypy test serve-smoke perf-pins
+## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins
+## and examples; the coverage floor and the export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test serve-smoke perf-pins examples
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -87,6 +87,14 @@ des-smoke:
 ## invariant fails (blocking in CI)
 perf-pins:
 	$(PYTHON) perf/run.py --seed 0 --seconds 1 --trace 0
+
+## examples: run every script in examples/; fails on the first non-zero
+## exit (blocking in CI)
+examples:
+	@for f in examples/*.py; do \
+	    echo "== $$f"; \
+	    $(PYTHON) $$f || exit 1; \
+	done
 
 ## trace-check: just the dynamic happens-before tests
 trace-check:

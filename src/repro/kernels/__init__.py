@@ -11,10 +11,12 @@ Each kernel executes the same mathematics — Formula 1 as a chain of
 - :class:`repro.kernels.cublas_gpu.CublasKernel` — the cuBLAS-style
   per-step GEMM baseline.
 
-Numeric outputs are bit-for-bit identical across the three (tested);
-only their simulated durations differ.  The write-once device cache
-(:class:`repro.kernels.gpu_cache.GpuBlockCache`) decides how many
-operator-block bytes each batch actually ships over PCIe.
+All three run one evaluator (:func:`repro.kernels.base.evaluate_formula`),
+so without rank reduction their numeric outputs are bit-for-bit
+identical (tested); only their simulated durations differ.  The
+write-once device cache (:class:`repro.kernels.gpu_cache.GpuBlockCache`)
+decides how many operator-block bytes each batch actually ships over
+PCIe.
 """
 
 from repro.kernels.base import ComputeKernel, FormulaPayload, KernelTiming

@@ -1,12 +1,16 @@
-"""Kernel interface and the numeric payload format.
+"""Kernel interface, the numeric payload format and the shared evaluator.
 
 A :class:`FormulaPayload` is one Formula 1 evaluation: an input tensor
 ``s`` of shape ``(q,) * d``, per-rank-term factor matrices (already
 oriented for :func:`repro.tensor.transform.transform_seq`, i.e. the
-transpose of the operator blocks), and the rank coefficients.  All three
-kernels evaluate it with exactly the same arithmetic (a per-term chain of
-``mtxmq`` calls), so their numeric outputs are identical by construction
-and the tests can assert it.
+transpose of the operator blocks), and the rank coefficients.
+:func:`evaluate_formula` is the one evaluator every kernel runs (the CPU
+kernel leaves it only for rank reduction): a per-axis chain of batched
+``mtxmq`` rotations over all rank terms at once, the host counterpart of
+the paper's aggregated ``cu_mtxmq`` kernel.  Kernels therefore differ in
+scheduling and cost, not in arithmetic, and return identical arrays.
+:meth:`FormulaPayload.reference_result` keeps the per-term ``mtxmq``
+chain as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from repro.errors import TensorShapeError
 from repro.runtime.task import BatchStats, WorkItem
+from repro.tensor.flops import add_flops, formula1_flops
 from repro.tensor.transform import transform_seq
 
 
@@ -60,45 +65,30 @@ class FormulaPayload:
         return out
 
 
-_EINSUM_PATHS: dict[tuple[int, int, int], list] = {}
-_IN_IDX = "abcdef"
-_OUT_IDX = "uvwxyz"
-
-
 def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
-    """Fast evaluation of one Formula 1 payload.
+    """Evaluate one Formula 1 payload as a per-axis contraction chain.
 
-    Arithmetic is identical to :meth:`FormulaPayload.reference_result`
-    (a chain of per-dimension contractions per rank term), executed as a
-    single einsum with a cached contraction path so per-item Python
-    overhead stays constant.  All kernels share this evaluator — their
-    differences are scheduling and cost, not arithmetic.
+    The factors are stacked once into an ``(M, d, q, q)`` array.  For
+    each axis its ``(M, q, q)`` slice is applied with one broadcast
+    ``matmul``: the batched form of the ``mtxmq`` rotation, which
+    contracts the leading tensor axis and puts the new one last, for
+    every rank term in one call.  After ``d`` steps the axes are back in
+    order and one ``tensordot`` folds in the coefficients.  FLOPs are
+    recorded as :func:`~repro.tensor.flops.formula1_flops`, what the
+    per-term chain costs on the modeled hardware.
     """
     s = payload.s
-    dim = s.ndim
     m = payload.rank
+    q = s.shape[0]
+    add_flops(formula1_flops(s.ndim, q, m), "formula1")
     if m == 0:
         return np.zeros_like(s)
-    q = s.shape[0]
-    stacked = [
-        np.stack([payload.factors[mu][axis] for mu in range(m)])
-        for axis in range(dim)
-    ]
-    spec = [_IN_IDX[:dim]]
-    operands: list[np.ndarray] = [s]
-    for axis in range(dim):
-        # factors are in transform orientation: out = sum_j s[j] h[j, i]
-        spec.append(f"m{_IN_IDX[axis]}{_OUT_IDX[axis]}")
-        operands.append(stacked[axis])
-    spec.append("m")
-    operands.append(np.asarray(payload.coeffs, dtype=float))
-    expr = ",".join(spec) + "->" + _OUT_IDX[:dim]
-    key = (dim, q, m)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(expr, *operands, optimize="greedy")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(expr, *operands, optimize=path)
+    h = np.array(payload.factors)
+    # (1, q, rest): the input broadcasts against every term's first factor
+    t = s.reshape(1, q, -1)
+    for axis in range(s.ndim):
+        t = np.matmul(t.transpose(0, 2, 1), h[:, axis]).reshape(m, q, -1)
+    return np.tensordot(payload.coeffs, t, axes=1).reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,3 @@ class ComputeKernel(abc.ABC):
     @abc.abstractmethod
     def run_item(self, item: WorkItem) -> np.ndarray | None:
         """Numerically execute one work item (None for cost-only items)."""
-
-    def run_batch(self, items: list[WorkItem]) -> list[np.ndarray | None]:
-        """Numerically execute every item of a batch, in order."""
-        return [self.run_item(item) for item in items]

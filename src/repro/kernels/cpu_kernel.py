@@ -1,10 +1,13 @@
 """The hand-tuned CPU kernel (with optional rank reduction).
 
-Numerically this is the straight per-term ``mtxmq`` chain.  With rank
-reduction enabled (paper Section II-D), each multiplication first drops
-the rows/columns of the factor matrix whose norm is below tolerance and
-pads the result back — same answer to tolerance, up to ~2.5x fewer FLOPs
-in typical separated representations.
+Without rank reduction it runs the shared Formula 1 evaluator
+(:func:`repro.kernels.base.evaluate_formula`), so its numbers equal the
+GPU kernels'.  With rank reduction enabled (paper Section II-D) it runs
+a per-term ``mtxmq`` chain instead, because the truncation differs per
+(rank term, axis): each multiplication first drops the rows/columns of
+the factor matrix whose norm is below tolerance and pads the result
+back — same answer to tolerance, up to ~2.5x fewer FLOPs in typical
+separated representations.
 
 The timing model charges the *reduced* FLOP count on the CPU; the GPU
 kernels charge the full count regardless (SMs are reserved at launch
@@ -16,7 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hardware.cpu_model import CpuModel
-from repro.kernels.base import ComputeKernel, FormulaPayload, KernelTiming
+from repro.kernels.base import (
+    ComputeKernel,
+    FormulaPayload,
+    KernelTiming,
+    evaluate_formula,
+)
 from repro.runtime.task import BatchStats, WorkItem
 from repro.tensor.mtxm import mtxmq
 from repro.tensor.rank_reduction import pad_reduced_result, rank_reduce_pair
@@ -60,6 +68,8 @@ class CpuMtxmKernel(ComputeKernel):
             return None
         if not isinstance(payload, FormulaPayload):
             raise TypeError(f"unexpected payload type {type(payload)!r}")
+        if not self.rank_reduction:
+            return evaluate_formula(payload)
         out = np.zeros_like(payload.s)
         q = payload.s.shape[0]
         for c, hs in zip(payload.coeffs, payload.factors):
@@ -67,13 +77,10 @@ class CpuMtxmKernel(ComputeKernel):
             for h in hs:
                 rest = t.size // q
                 flat = t.reshape(q, rest)
-                if self.rank_reduction:
-                    s_red, h_red, _out_cols = rank_reduce_pair(
-                        flat, h, self.reduction_tol
-                    )
-                    prod = pad_reduced_result(mtxmq(s_red, h_red), q)
-                else:
-                    prod = mtxmq(flat, h)
+                s_red, h_red, _out_cols = rank_reduce_pair(
+                    flat, h, self.reduction_tol
+                )
+                prod = pad_reduced_result(mtxmq(s_red, h_red), q)
                 t = prod.reshape(t.shape[1:] + (q,))
             out += c * t
         return out

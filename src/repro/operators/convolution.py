@@ -228,11 +228,11 @@ class GaussianConvolution:
         coarser levels already account for (the "T - T0" trick of the
         MADNESS implementation).
 
-        The per-``mu`` contraction is evaluated as one optimised einsum
-        over the stacked operator matrices — numerically identical to the
-        per-term ``mtxmq`` chain the kernels execute, but far faster in
-        NumPy; FLOPs are accounted as if executed term by term, which is
-        what they cost on the modeled hardware.
+        The kept rank terms go through :meth:`_batched_apply`, a loop
+        over ``mu`` of ``dim`` ``tensordot`` contractions that rotate the
+        axes exactly as ``mtxmq`` does; FLOPs are accounted as if
+        executed term by term, which is what they cost on the modeled
+        hardware.
         """
         norms = self.term_norms(level, delta, subtracted=subtract_coarse)
         keep = np.nonzero(norms > tol)[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TensorShapeError
 from repro.kernels.base import FormulaPayload, KernelTiming, evaluate_formula
@@ -48,16 +50,28 @@ def test_kernel_timing_gflops():
     assert KernelTiming(seconds=0.0, flops=1, launches=0).gflops() == 0.0
 
 
-def test_einsum_path_cache_reused():
-    from repro.kernels.base import _EINSUM_PATHS
-
-    rng = np.random.default_rng(1)
-    p = FormulaPayload(
-        s=rng.standard_normal((4, 4)),
-        factors=[(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))],
-        coeffs=np.ones(1),
+@st.composite
+def payloads(draw):
+    """Random payloads over d=1..4, q=1..12 (at most 8 at d=4), M=0..30."""
+    dim = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 8 if dim == 4 else 12))
+    rank = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FormulaPayload(
+        s=rng.standard_normal((q,) * dim),
+        factors=[
+            tuple(rng.standard_normal((q, q)) for _ in range(dim))
+            for _ in range(rank)
+        ],
+        coeffs=rng.standard_normal(rank),
     )
-    evaluate_formula(p)
-    n_before = len(_EINSUM_PATHS)
-    evaluate_formula(p)
-    assert len(_EINSUM_PATHS) == n_before  # same shape -> cached path
+
+
+@given(payloads())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_formula_matches_reference(payload):
+    """The matmul chain against the per-term ``mtxmq`` oracle."""
+    reference = payload.reference_result()
+    out = evaluate_formula(payload)
+    assert out.shape == payload.s.shape
+    assert np.max(np.abs(out - reference)) <= 1e-12 * np.max(np.abs(reference))

@@ -13,6 +13,7 @@ from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.task import TaskKind, WorkItem
+from repro.tensor.flops import flop_counter, formula1_flops
 
 
 def payload_item(seed: int, dim: int = 2, q: int = 6, rank: int = 3) -> WorkItem:
@@ -28,13 +29,19 @@ def payload_item(seed: int, dim: int = 2, q: int = 6, rank: int = 3) -> WorkItem
     return WorkItem(kind=TaskKind("t", 0), payload=payload)
 
 
-def all_kernels():
+def exact_kernels():
+    """The kernels that run the shared evaluator (no rank reduction)."""
     return [
         CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
-        CpuMtxmKernel(CpuModel(TITAN_NODE.cpu), rank_reduction=True,
-                      reduction_tol=1e-14),
         CustomGpuKernel(GpuModel(TITAN_NODE.gpu)),
         CublasKernel(GpuModel(TITAN_NODE.gpu)),
+    ]
+
+
+def all_kernels():
+    return exact_kernels() + [
+        CpuMtxmKernel(CpuModel(TITAN_NODE.cpu), rank_reduction=True,
+                      reduction_tol=1e-14),
     ]
 
 
@@ -54,16 +61,26 @@ def test_fast_evaluator_matches_reference():
     )
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 6), st.integers(1, 4))
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 6), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_equivalence_property(seed, dim, q, rank):
     item = payload_item(seed, dim=dim, q=q, rank=rank)
     reference = item.payload.reference_result()
-    custom = CustomGpuKernel(GpuModel(TITAN_NODE.gpu)).run_item(item)
-    cublas = CublasKernel(GpuModel(TITAN_NODE.gpu)).run_item(item)
-    cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)).run_item(item)
-    for out in (custom, cublas, cpu):
-        assert np.allclose(out, reference, atol=1e-9)
+    cpu, custom, cublas = (kernel.run_item(item) for kernel in exact_kernels())
+    assert np.array_equal(cpu, custom)
+    assert np.array_equal(cpu, cublas)
+    assert np.allclose(cpu, reference, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_kernels_record_formula1_flops(dim):
+    """Every kernel counts the same FLOPs as ``formula1_flops``."""
+    item = payload_item(5, dim=dim, q=6, rank=3)
+    for kernel in exact_kernels():
+        with flop_counter() as counter:
+            kernel.run_item(item)
+        assert counter.by_label == {"formula1": formula1_flops(dim, 6, 3)}, kernel.name
+        assert counter.flops == formula1_flops(dim, 6, 3), kernel.name
 
 
 def test_rank_reduced_cpu_close_but_cheaper():
