@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence perf-pins examples
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins examples
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins
@@ -67,6 +67,15 @@ serve-smoke:
 ## under rank kills; also pins the BENCH_chaos.json baseline
 chaos-sched-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_chaos_sched.py -q
+
+## chaos-smoke: what the blocking CI `chaos-smoke` job runs — the
+## fault-injection and checkpoint-interval ablations at reduced scale
+## (every run trace-checked for effectively-exactly-once accumulation)
+## plus chaos-sched-smoke
+chaos-smoke:
+	$(PYTHON) -m repro.experiments ablation-chaos --scale 0.2
+	$(PYTHON) -m repro.experiments ablation-checkpoint --scale 0.2
+	$(MAKE) chaos-sched-smoke
 
 ## des-equivalence: the differential DES-core harness — every canonical
 ## scenario plus 250 random event programs (with and without

@@ -42,13 +42,15 @@ thief's process: the DES is single-threaded, so the decision is atomic
 answering steals while the worker computes.
 
 **Chaos recovery** (dump schema v5): the engine composes with the
-checkpoint/restart protocol.  When ``recovery=`` is armed, every rank
-keeps a :class:`~repro.recovery.checkpoint.CheckpointStore` lineage
-(snapshots written per the interval policy, write/read costs charged on
-the DES clock) and all ranks share one
-:class:`~repro.recovery.checkpoint.MigrationLedger` recording every
-grant edge.  A scheduled :class:`~repro.faults.models.NodeCrash` then
-plays out honestly:
+checkpoint/restart protocol through the same core as
+:func:`~repro.recovery.protocol.run_with_recovery`.  When ``recovery=``
+is armed, every rank drives a
+:class:`~repro.recovery.checkpoint.Checkpointer` (snapshots written per
+the interval policy, write/read costs charged on the DES clock) and all
+ranks share one :class:`~repro.recovery.checkpoint.MigrationLedger`
+holding each stolen task's latest grant edge and current owner.  A
+scheduled :class:`~repro.faults.models.NodeCrash` then plays out
+honestly:
 
 - the in-flight chunk and every accumulate not covered by a durable
   snapshot roll back (``rollback`` record at detection time, replayed
@@ -57,10 +59,12 @@ plays out honestly:
   granted them (``rehome`` record on each victim at detection time,
   ledger ownership reverting) — including a grant still in flight on
   the wire to the crashed thief;
-- the rank restores its newest readable snapshot (corrupted ones walk
-  the lineage chain, charging a read apiece), re-registers its rebuilt
-  queue (``submit`` records opening the replay epoch) and resumes;
-  survivors neither grant to nor steal from a down rank.
+- the rank restores its newest readable snapshot through
+  :meth:`~repro.recovery.checkpoint.CheckpointStore.restore` (corrupted
+  ones walk the lineage chain, charging a read apiece), re-registers its
+  rebuilt queue (``submit`` records opening the replay epoch) and
+  resumes — relaunching its scheduling loop if that loop had already
+  exited; survivors neither grant to nor steal from a down rank.
 
 Crashes without ``recovery=`` raise
 :class:`~repro.errors.ClusterConfigError`: the omniscient
@@ -81,7 +85,7 @@ from repro.cluster.network import NetworkModel
 from repro.dht.process_map import ProcessMap, _unit_displacements
 from repro.errors import ClusterConfigError, DataLossError
 from repro.recovery.checkpoint import (
-    Checkpoint,
+    Checkpointer,
     CheckpointStore,
     MigrationLedger,
 )
@@ -179,8 +183,6 @@ class _RankChaos:
     """Per-rank crash-recovery state (owned by the rank's processes;
     single-writer per field, so attribute updates never race)."""
 
-    last_ckpt: float = 0.0
-    batches_since: int = 0
     down: bool = False
     #: bumped at each crash; a process that slept across the bump
     #: learns its work died with the old incarnation
@@ -188,8 +190,6 @@ class _RankChaos:
     restarts: int = 0
     #: the chunk currently executing (taken for crash rollback)
     in_flight: list | None = None
-    #: accumulates not yet covered by a durable snapshot
-    acc_pending: list = field(default_factory=list)
 
 
 @dataclass
@@ -262,11 +262,12 @@ def locality_preferences(
 ) -> dict[int, tuple[int, ...]]:
     """Per-rank locality victim preferences, computed in one pass.
 
-    The bulk form of :meth:`~repro.dht.process_map.ProcessMap.
-    adjacent_ranks`: the anchor->owner map is built once over all task
-    keys, then each anchor's same-level Chebyshev-1 neighbours vote for
-    their owners.  Rank ``r``'s preference tuple is sorted ascending
-    and excludes ``r`` itself.
+    Rank ``r`` prefers the ranks owning anchor subtrees spatially
+    adjacent to its own: the anchor->owner map is built once over all
+    task keys, then each anchor's same-level Chebyshev-1 neighbours
+    that are themselves anchors of the workload vote for their owners.
+    Rank ``r``'s preference tuple is sorted ascending and excludes ``r``
+    itself; a rank with no adjacent foreign anchor has no entry.
     """
     anchors = {pmap.anchor_of(t.key) for t in tasks}
     owner_of = {a: pmap.owner(a) for a in anchors}
@@ -423,10 +424,20 @@ class StealingEngine:
                 "(see docs/FAULTS.md)"
             )
         ledger = MigrationLedger() if recovery is not None else None
-        stores = {
-            rank: CheckpointStore(rank=rank, ledger=ledger)
-            for rank in range(n)
-        }
+        checkpointers = (
+            [
+                Checkpointer(
+                    CheckpointStore(rank=rank),
+                    recovery.policy,
+                    recovery.cost_model,
+                    injector=self.injector,
+                    rank=rank,
+                )
+                for rank in range(n)
+            ]
+            if recovery is not None
+            else []
+        )
         #: per-rank crash-recovery state (inert unless chaos is armed)
         chaos = [_RankChaos() for _ in range(n)]
         #: thief -> (victim, entries, request) for a grant on the wire
@@ -519,11 +530,8 @@ class StealingEngine:
             totals.granted += 1
             totals.migrated += n_steal
             if ledger is not None:
-                for tid, task in stolen:
-                    ledger.note_grant(
-                        tid, victim, thief, req,
-                        self.pmap.owner(task.neighbor),
-                    )
+                for tid, _task in stolen:
+                    ledger.note_grant(tid, victim, thief, req)
             if tracer is not None:
                 for kind, ids in _group_by_kind(stolen):
                     tracer.log_steal_grant(kind, ids, now, req)
@@ -549,45 +557,20 @@ class StealingEngine:
 
         def write_checkpoint(rank: int):
             # charge the full-state write on the DES clock; a crash
-            # mid-write aborts the commit and the delta stays pending
-            # (the killer rolls it back) — no partial snapshot
-            store = stores[rank]
-            ch = chaos[rank]
-            delta = ch.acc_pending
-            state_bytes = store.covered_bytes(store.frontier_seq) + sum(
-                int(task.item.output_bytes) for _tid, task in delta
-            )
-            epoch = ch.epoch
+            # mid-write aborts the commit and the frozen delta rolls
+            # back with the rest — no partial snapshot
+            checkpointer = checkpointers[rank]
+            epoch = chaos[rank].epoch
             w0 = env.now
-            yield env.timeout(recovery.cost_model.write_seconds(state_bytes))
-            if ch.epoch != epoch:
+            yield env.timeout(checkpointer.begin())
+            if chaos[rank].epoch != epoch:
                 return
-            ch.acc_pending = []
-            seq = store.next_seq()
-            parent = store.frontier_seq
-            corrupted = (
-                self.injector.checkpoint_corrupted(rank, seq, env.now)
-                if self.injector is not None
-                else False
-            )
-            store.add(
-                Checkpoint(
-                    rank=rank,
-                    seq=seq,
-                    parent=parent,
-                    at=env.now,
-                    cursor=store.covered_count(parent) + len(delta),
-                    item_ids=tuple(tid for tid, _task in delta),
-                    state_bytes=state_bytes,
-                    corrupted=corrupted,
-                )
-            )
-            ch.last_ckpt = env.now
-            ch.batches_since = 0
+            checkpoint = checkpointer.commit(env.now)
             tracer = self.rank_tracers.get(rank)
             if tracer is not None:
                 tracer.log_checkpoint(
-                    seq, parent, [tid for tid, _task in delta], env.now
+                    checkpoint.seq, checkpoint.parent, checkpoint.item_ids,
+                    env.now,
                 )
                 tracer.record("checkpoint", "write", w0, env.now)
 
@@ -611,9 +594,6 @@ class StealingEngine:
                     if tracer is not None:
                         for kind, ids in groups:
                             tracer.log_flush(kind, ids, start, batch=batch)
-                    if ledger is not None:
-                        for tid, _task in chunk:
-                            ledger.note_settled(tid)
                     seconds = self.chunk_seconds(
                         rank, [task for _tid, task in chunk]
                     )
@@ -643,11 +623,12 @@ class StealingEngine:
                             tracer.log_accumulate(kind, ids, end, batch=batch)
                     note_completed(len(chunk))
                     if recovery is not None:
-                        ch.acc_pending.extend(chunk)
-                        ch.batches_since += 1
-                        if recovery.policy.due(
-                            env.now, ch.last_ckpt, ch.batches_since
-                        ) and ch.acc_pending:
+                        checkpointer = checkpointers[rank]
+                        checkpointer.note_accumulate(
+                            (tid, task.item.output_bytes)
+                            for tid, task in chunk
+                        )
+                        if checkpointer.due(env.now):
                             yield from write_checkpoint(rank)
                     continue
                 if totals.remaining == 0:
@@ -713,7 +694,7 @@ class StealingEngine:
                     tracer.record("network", "steal", t0, end)
 
         def crash_and_restore(rank: int, crashed_at: float):
-            store = stores[rank]
+            checkpointer = checkpointers[rank]
             tracer = self.rank_tracers.get(rank)
             ch = chaos[rank]
             queue = queues[rank]
@@ -746,9 +727,7 @@ class StealingEngine:
                 rehomes.setdefault((victim, req), []).extend(entries)
             lost_chunk = ch.in_flight or []
             ch.in_flight = None
-            rolled = list(ch.acc_pending)
-            ch.acc_pending = []
-            ch.batches_since = 0
+            rolled = checkpointer.uncheckpointed_ids()
             if ch.restarts > recovery.max_restarts:
                 lost = (
                     len(rolled) + len(lost_chunk) + len(native)
@@ -784,52 +763,48 @@ class StealingEngine:
             # roll back every accumulate no durable snapshot covers —
             # the un-checkpointed tail plus anything only a discarded
             # (corrupted) lineage branch covered
-            choice, tried = store.select_restore()
-            target = choice.seq if choice is not None else -1
-            kept = {ck.seq for ck in store.lineage(target)}
-            discarded = [
-                tid
-                for ck in store.lineage(store.frontier_seq)
-                if ck.seq not in kept
-                for tid in ck.item_ids
-            ]
-            rolled_ids = discarded + [tid for tid, _task in rolled]
-            totals.rolled_back += len(rolled_ids)
+            restored = checkpointer.store.restore(rolled)
+            totals.rolled_back += len(restored.rolled_ids)
             if tracer is not None:
-                tracer.log_rollback(target, rolled_ids, detect_at)
-            read_cost = sum(
-                recovery.cost_model.read_seconds(ck.state_bytes)
-                for ck in tried
+                tracer.log_rollback(
+                    restored.target, restored.rolled_ids, detect_at
+                )
+            restore_wait = (
+                recovery.cost_model.restart_seconds
+                + restored.read_seconds(recovery.cost_model)
             )
-            restore_wait = recovery.cost_model.restart_seconds + read_cost
             if self.registry is not None:
                 self.registry.counter("recovery.restarts").inc(
                     detect_at + restore_wait
                 )
                 self.registry.counter("recovery.rolled_back_items").inc(
-                    detect_at, len(rolled_ids)
+                    detect_at, len(restored.rolled_ids)
                 )
                 self.registry.histogram(
                     "recovery.restore_seconds"
                 ).observe(detect_at + restore_wait, restore_wait)
             yield env.timeout(restore_wait)
-            # restore commits: the frontier moves back, the rank
-            # relaunches, and the rebuilt queue re-registers (the
-            # submit records opening the replay epoch).  Replay runs
-            # here only for ids the ledger still homes on this rank.
-            store.restore_to(target)
-            covered = store.covered_ids(target)
+            # restore completes: the rank relaunches and the rebuilt
+            # queue re-registers (the submit records opening the replay
+            # epoch).  Replay runs here only for ids the ledger still
+            # homes on this rank.
             replay = [
                 (tid, task_of[tid])
-                for tid in rolled_ids
-                if tid not in covered
+                for tid in restored.rolled_ids
+                if tid not in restored.covered
                 and ledger.current_owner(tid, rank) == rank
             ]
             if tracer is not None:
                 tracer.log_restore(
-                    target, env.now, tried=[ck.seq for ck in tried]
+                    restored.target, env.now,
+                    tried=[ck.seq for ck in restored.tried],
                 )
             totals.remaining += len(replay)
+            # this rank flushed these, so it finishes them: their grants
+            # are spent and a later crash replays them here, not at the
+            # victim
+            for tid, _task in replay + lost_chunk:
+                ledger.note_replay(tid)
             rehomed_in = list(queue)  # arrived while this rank was down
             queue.clear()
             queue.extend(replay + lost_chunk + native + rehomed_in)
@@ -837,10 +812,15 @@ class StealingEngine:
             if tracer is not None:
                 for tid, task in queue:
                     tracer.log_submit(str(task.item.kind), tid, env.now)
-            ch.last_ckpt = env.now
+            checkpointer.reset_segment(now=env.now)
             ch.down = False
             board_update(rank)
             down_events[rank].succeed()
+            if queue and loops[rank].triggered:
+                # this rank's loop exited while the run looked finished
+                # (``remaining`` can touch 0 while another rank is down);
+                # the replay needs a live loop again
+                loops[rank] = env.process(rank_process(rank))
             wake_parked()
 
         def killer_process(rank: int, schedule: tuple[float, ...]):
@@ -856,8 +836,7 @@ class StealingEngine:
                     continue
                 yield from crash_and_restore(rank, env.now)
 
-        for rank in range(n):
-            env.process(rank_process(rank))
+        loops = [env.process(rank_process(rank)) for rank in range(n)]
         for rank in sorted(crash_schedules):
             env.process(killer_process(rank, crash_schedules[rank]))
         env.run()

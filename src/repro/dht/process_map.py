@@ -17,7 +17,6 @@ contrast drives several results:
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
 
 from repro.errors import ClusterConfigError
 from repro.dht.hashing import stable_key_hash
@@ -45,31 +44,6 @@ class ProcessMap(abc.ABC):
         ``owner(key) == owner(anchor_of(key))``.
         """
         return key
-
-    def adjacent_ranks(
-        self, rank: int, keys: Sequence[Key]
-    ) -> tuple[int, ...]:
-        """Ranks owning anchor subtrees spatially adjacent to ``rank``'s.
-
-        Victim-selection query for the work-stealing scheduler: given the
-        keys in flight, find the anchors owned by ``rank``, look at the
-        face/edge/corner neighbours of those anchor boxes (same level,
-        Chebyshev distance 1), and return the distinct owners of the
-        neighbour anchors that are themselves present in the key set —
-        excluding ``rank``, sorted ascending for determinism.
-        """
-        anchors = {self.anchor_of(key) for key in keys}
-        mine = [a for a in anchors if self.owner(a) == rank]
-        neighbours: set[int] = set()
-        for anchor in mine:
-            for displacement in _unit_displacements(anchor.dim):
-                neighbour = anchor.neighbor(displacement)
-                if neighbour is None or neighbour not in anchors:
-                    continue
-                owner = self.owner(neighbour)
-                if owner != rank:
-                    neighbours.add(owner)
-        return tuple(sorted(neighbours))
 
 
 def _unit_displacements(dim: int) -> list[tuple[int, ...]]:

@@ -159,8 +159,13 @@ class MessageDelay(FaultModel):
 
 @dataclass(frozen=True)
 class NodeCrash(FaultModel):
-    """The rank dies at simulated instant ``at``; its unfinished tasks
-    are redistributed to the surviving ranks through the process map."""
+    """The rank dies at simulated instant ``at``.
+
+    Crashes need checkpoint/restart recovery (``recovery=``): the rank
+    restores its newest readable snapshot and replays the lost window in
+    place, and under work stealing its unflushed stolen tasks re-home to
+    the victims that granted them (see docs/RECOVERY.md).
+    """
 
     at: float = 0.0
 

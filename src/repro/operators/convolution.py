@@ -212,42 +212,6 @@ class GaussianConvolution:
 
     # -- the integral kernel (Formula 1) -------------------------------------------
 
-    def muopxv(
-        self,
-        level: int,
-        delta: tuple[int, ...],
-        chat: np.ndarray,
-        *,
-        subtract_coarse: bool,
-        tol: float = 0.0,
-    ) -> np.ndarray:
-        """Apply the separated operator to one combined ``(2k)^d`` tensor.
-
-        Evaluates Formula 1 with the ``(2k)^d`` nonstandard blocks and, if
-        ``subtract_coarse``, removes the scaling->scaling part that
-        coarser levels already account for (the "T - T0" trick of the
-        MADNESS implementation).
-
-        The kept rank terms go through :meth:`_batched_apply`, a loop
-        over ``mu`` of ``dim`` ``tensordot`` contractions that rotate the
-        axes exactly as ``mtxmq`` does; FLOPs are accounted as if
-        executed term by term, which is what they cost on the modeled
-        hardware.
-        """
-        norms = self.term_norms(level, delta, subtracted=subtract_coarse)
-        keep = np.nonzero(norms > tol)[0]
-        if keep.size == 0:
-            return np.zeros_like(chat)
-        big = self._batched_apply(chat[None], level, delta, keep, ns=True)[0]
-        if subtract_coarse:
-            corner = scaling_corner(self.dim, self.k)
-            small = self._batched_apply(
-                chat[corner][None], level, delta, keep, ns=False
-            )[0]
-            big[corner] -= small
-            add_flops(small.size, "subtract")
-        return big
-
     def _batched_apply(
         self,
         batch: np.ndarray,

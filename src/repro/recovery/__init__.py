@@ -14,8 +14,10 @@ Three modules:
   every-N-batches, and the Young/Daly optimum derived from the crash
   rate;
 - :mod:`repro.recovery.checkpoint` — *what* a checkpoint is and costs:
-  the snapshot lineage, the serialize + drain cost model, and the
-  :class:`Checkpointer` driver the node runtime calls into;
+  the snapshot lineage with its one restore step, the serialize + drain
+  cost model, the :class:`Checkpointer` that both the node runtime and
+  the work-stealing engine write snapshots through, and the migration
+  ledger stealing runs recover with;
 - :mod:`repro.recovery.protocol` — the crash → detect → restore →
   replay loop, exactly-once result delivery, and the
   :class:`DataLossError` restart budget.
@@ -30,6 +32,7 @@ from repro.recovery.checkpoint import (
     CheckpointStore,
     MigrationLedger,
     MigrationRecord,
+    Restore,
 )
 from repro.recovery.policy import (
     CheckpointPolicy,
@@ -56,6 +59,7 @@ __all__ = [
     "MigrationRecord",
     "RecoveredRun",
     "RecoveryConfig",
+    "Restore",
     "YoungDaly",
     "young_daly_interval",
     "run_with_recovery",

@@ -1,4 +1,4 @@
-"""The checkpoint model: snapshots, their cost, their lineage.
+"""The checkpoint/restart core: snapshots, their cost, their lineage.
 
 A checkpoint is a durable per-rank snapshot of everything accumulated so
 far — the result blocks and the batch-queue cursor — taken on the
@@ -10,11 +10,19 @@ move the frontier back along the chain, and snapshots corrupted by a
 :class:`~repro.faults.models.CheckpointCorruption` fault are rejected at
 read time, forcing the walk to an older ancestor.
 
-The :class:`Checkpointer` is the per-run driver the node runtime calls
-into: it watches accumulates, asks the interval policy when a snapshot
-is due, freezes the delta at write start (accumulates racing the write
-stay pending for the next snapshot), and commits atomically at write
-completion — a crash mid-write leaves no partial snapshot.
+Both users of checkpoint/restart — the node runtime under
+:func:`~repro.recovery.protocol.run_with_recovery` and the
+work-stealing engine (:mod:`repro.cluster.stealing`) — share this core:
+
+- the :class:`Checkpointer` is the one checkpoint writer.  It watches
+  accumulates as ``(item_id, output_bytes)`` pairs, asks the interval
+  policy when a snapshot is due, freezes the delta at write start
+  (accumulates racing the write stay pending for the next snapshot),
+  prices the write and commits atomically at write completion — a crash
+  mid-write leaves no partial snapshot;
+- :meth:`CheckpointStore.restore` is the one restore step: it picks the
+  newest readable snapshot, moves the frontier back to it and reports
+  what the rollback cancels.
 
 Snapshots deep-copy result payloads (``_copy_result``): a checkpoint
 that *aliased* live accumulator state would silently pick up
@@ -154,66 +162,53 @@ class MigrationRecord:
         thief: rank the task migrated *to*.
         request: the steal-protocol request id correlating this edge
             with the ``steal_grant``/``migrate`` trace records.
-        dest_rank: the accumulate destination — the owner of the
-            result subtree the task folds into, which does **not**
-            change when the task migrates.
     """
 
     task_id: Hashable
     victim: int
     thief: int
     request: int
-    dest_rank: int
 
 
 @dataclass
 class MigrationLedger:
-    """Durable record of where every stolen task currently lives.
+    """Where every stolen task currently lives, for crash recovery.
 
     Checkpoint lineage alone cannot recover a run with work stealing:
     a migrated task has no *static* home to replay on.  The ledger
-    closes that gap — every grant appends a :class:`MigrationRecord`
-    and updates the current-owner map, so crash recovery can (a)
-    replay a rolled-back stolen task on its *current* owner instead of
-    its original rank and (b) re-home a crashed thief's
-    granted-but-unflushed tasks back to the victim that granted them.
-    Settled tasks (flushed by their holder) leave the in-flight set.
+    keeps the two maps recovery reads — each task's latest live grant
+    edge and its current owner — so a crash can (a) re-home a crashed
+    thief's granted-but-unflushed tasks to the victim of their latest
+    grant and (b) replay a rolled-back task only on the rank that
+    currently owns it.
     """
 
-    records: list[MigrationRecord] = field(default_factory=list)
     #: task id -> rank currently holding the (stolen) task
     _owner: dict = field(default_factory=dict)
-    #: task id -> the latest grant edge (for crash-time rehoming)
+    #: task id -> the latest grant edge not yet spent by a replay (for
+    #: crash-time rehoming)
     _last_edge: dict = field(default_factory=dict)
-    #: task ids whose current holder has flushed them
-    _settled: set = field(default_factory=set)
 
     def note_grant(
-        self,
-        task_id: Hashable,
-        victim: int,
-        thief: int,
-        request: int,
-        dest_rank: int,
-    ) -> MigrationRecord:
+        self, task_id: Hashable, victim: int, thief: int, request: int
+    ) -> None:
         """Record one task granted from ``victim`` to ``thief``."""
-        edge = MigrationRecord(task_id, victim, thief, request, dest_rank)
-        self.records.append(edge)
         self._owner[task_id] = thief
-        self._last_edge[task_id] = edge
-        self._settled.discard(task_id)
-        return edge
-
-    def note_settled(self, task_id: Hashable) -> None:
-        """The current holder flushed the task; it is no longer in
-        flight and a later crash of that holder replays it there."""
-        if task_id in self._owner:
-            self._settled.add(task_id)
+        self._last_edge[task_id] = MigrationRecord(
+            task_id, victim, thief, request
+        )
 
     def note_rehome(self, task_id: Hashable, back_to: int) -> None:
         """A crashed thief's unflushed task returned to ``back_to``
         (its victim); ownership reverts."""
         self._owner[task_id] = back_to
+
+    def note_replay(self, task_id: Hashable) -> None:
+        """A task its current owner had flushed was requeued there for
+        replay (rolled back, or lost mid-chunk): the grant that brought
+        it is spent, so a later crash of that owner replays it in place
+        instead of re-homing it — a rank finishes what it flushed."""
+        self._last_edge.pop(task_id, None)
 
     def current_owner(self, task_id: Hashable, default: int) -> int:
         """The rank a replay of ``task_id`` must run on — the latest
@@ -222,20 +217,33 @@ class MigrationLedger:
 
     def last_edge(self, task_id: Hashable) -> MigrationRecord | None:
         """The most recent grant edge of ``task_id`` (None if the task
-        never migrated)."""
+        never migrated or a replay spent its grant)."""
         return self._last_edge.get(task_id)
 
-    def unflushed_on(self, rank: int) -> list[Hashable]:
-        """Stolen tasks currently held *unflushed* by ``rank`` — the
-        set a crash on ``rank`` re-homes to their victims, in grant
-        order."""
-        return [
-            edge.task_id
-            for edge in self.records
-            if self._owner.get(edge.task_id) == rank
-            and self._last_edge[edge.task_id] is edge
-            and edge.task_id not in self._settled
-        ]
+
+@dataclass(frozen=True)
+class Restore:
+    """What one :meth:`CheckpointStore.restore` step did.
+
+    Attributes:
+        target: ``seq`` of the restored snapshot (-1 = from scratch).
+        tried: every snapshot read during the walk, from the old
+            frontier back to the target, corrupted rejects included
+            (one read is charged apiece).
+        rolled_ids: the accumulates the rollback cancels — ids covered
+            only by snapshots the walk discarded, in lineage order,
+            followed by the uncheckpointed ids.
+        covered: every id the restored lineage covers.
+    """
+
+    target: int
+    tried: tuple[Checkpoint, ...]
+    rolled_ids: tuple[Hashable, ...]
+    covered: frozenset
+
+    def read_seconds(self, cost_model: CheckpointCostModel) -> float:
+        """The read charge of the walk: one snapshot read per try."""
+        return sum(cost_model.read_seconds(ck.state_bytes) for ck in self.tried)
 
 
 @dataclass
@@ -247,17 +255,11 @@ class CheckpointStore:
     stay monotonic across restarts and the trace checker can audit the
     full lineage graph.  ``frontier_seq`` is the tip of the chain the
     next checkpoint extends (-1 = nothing durable yet).
-
-    Under work stealing the per-rank stores of a run share one
-    :class:`MigrationLedger` (``ledger``): lineage says *what* is
-    durable, the ledger says *where* an uncovered task must replay.
     """
 
     rank: int = 0
     checkpoints: list[Checkpoint] = field(default_factory=list)
     frontier_seq: int = -1
-    #: run-shared migration ledger (None outside stealing runs)
-    ledger: MigrationLedger | None = None
 
     def next_seq(self) -> int:
         """The sequence number the next committed snapshot will carry."""
@@ -322,6 +324,33 @@ class CheckpointStore:
             self.get(seq)  # validates existence
         self.frontier_seq = seq
 
+    def restore(self, uncheckpointed_ids: Iterable[Hashable]) -> Restore:
+        """The restore step of a crashed rank, run at crash detection.
+
+        Picks the newest readable snapshot (:meth:`select_restore`),
+        moves the frontier back to it and reports what the rollback
+        cancels: the ids only the discarded (corrupted) snapshots
+        covered, then ``uncheckpointed_ids`` — the accumulates no
+        committed snapshot covers.
+        """
+        choice, tried = self.select_restore()
+        target = choice.seq if choice is not None else -1
+        # the walk read the frontier chain newest first; everything it
+        # read above the target is the discarded branch
+        discarded = [
+            item_id
+            for ck in reversed(tried)
+            if ck.seq != target
+            for item_id in ck.item_ids
+        ]
+        self.restore_to(target)
+        return Restore(
+            target=target,
+            tried=tuple(tried),
+            rolled_ids=(*discarded, *uncheckpointed_ids),
+            covered=frozenset(self.covered_ids(target)),
+        )
+
     def covered_ids(self, seq: int) -> set:
         """Every item id covered by the lineage up to ``seq``."""
         covered: set = set()
@@ -339,19 +368,21 @@ class CheckpointStore:
 
 
 class Checkpointer:
-    """Per-run checkpoint driver the node runtime calls into.
+    """The one checkpoint writer; the node runtime and the stealing
+    engine both call into it.
 
     Owns the policy clock and the accumulated-but-not-yet-checkpointed
-    delta.  One instance spans a whole recovery run (it carries the
-    store and the covered-state bookkeeping across restarts); the
-    protocol calls :meth:`reset_segment` after each restore so the
-    policy clock and pending delta restart with the fresh runtime.
+    delta of ``(item_id, output_bytes)`` pairs: the node runtime notes
+    ``id(item)`` per accumulated work item, the stealing engine its
+    run-stable ``"t<n>"`` task ids.  One instance spans a rank's whole
+    run (it carries the store across restarts); the caller invokes
+    :meth:`reset_segment` after each restore so the policy clock and
+    pending delta restart with the relaunched rank.
 
     Writes are **atomic on the simulated clock**: :meth:`begin` freezes
-    the delta and returns the (serialize, drain) charges; the runtime
-    yields those charges on its resources and then calls :meth:`commit`.
-    A crash between the two simply abandons the frozen delta — no
-    partial snapshot enters the store.
+    the delta and returns the write charge; the caller yields it and
+    then calls :meth:`commit`.  A crash between the two simply abandons
+    the frozen delta — no partial snapshot enters the store.
 
     Args:
         store: the rank's durable snapshot store.
@@ -380,59 +411,62 @@ class Checkpointer:
         self.injector = injector
         self.rank = rank
         self.result_source = result_source
-        #: global-clock offset of the current segment (set by the
-        #: recovery protocol; keys absolute-time corruption windows)
+        #: global-clock offset of the current segment (keys
+        #: absolute-time corruption windows and snapshot instants)
         self.clock_offset = 0.0
-        #: accumulated items not yet covered by a committed snapshot
-        self._pending: list = []
-        self._frozen: list | None = None
+        #: accumulated (item_id, output_bytes) pairs not yet covered by
+        #: a committed snapshot
+        self._pending: list[tuple[Hashable, int]] = []
+        self._frozen: list[tuple[Hashable, int]] | None = None
         self.last_checkpoint_at = 0.0
         self.batches_since = 0
-        #: lifetime counters for reporting
-        self.n_checkpoints = 0
-        self.checkpoint_seconds = 0.0
 
     # -- segment lifecycle -------------------------------------------------------
 
-    def reset_segment(self, clock_offset: float = 0.0) -> None:
-        """Start a fresh segment: drop un-committed state, restart the
-        policy clock at the segment's local zero."""
+    def reset_segment(
+        self, clock_offset: float = 0.0, *, now: float = 0.0
+    ) -> None:
+        """Start a fresh segment at instant ``now`` of its clock: drop
+        un-committed state and restart the policy clock there.
+
+        The recovery protocol runs each segment on a local clock
+        (``clock_offset`` maps it onto the run's, ``now`` stays 0); the
+        stealing engine keeps one global clock and restarts the policy
+        at the restore instant.
+        """
         self.clock_offset = clock_offset
         self._pending = []
         self._frozen = None
-        self.last_checkpoint_at = 0.0
+        self.last_checkpoint_at = now
         self.batches_since = 0
 
-    # -- runtime-facing hooks ----------------------------------------------------
+    # -- caller-facing hooks -----------------------------------------------------
 
-    def note_accumulate(self, items: Iterable, now: float) -> None:
-        """One batch's results accumulated; they join the pending delta."""
-        self._pending.extend(items)
+    def note_accumulate(self, entries: Iterable[tuple[Hashable, int]]) -> None:
+        """One batch accumulated; its ``(item_id, output_bytes)`` pairs
+        join the pending delta."""
+        self._pending.extend(entries)
         self.batches_since += 1
 
     def due(self, now: float) -> bool:
-        """Whether the runtime should write a snapshot now."""
+        """Whether the caller should write a snapshot now."""
         if self._frozen is not None or not self._pending:
             return False
         return self.policy.due(now, self.last_checkpoint_at, self.batches_since)
 
-    def begin(self, now: float) -> tuple[float, float] | None:
+    def begin(self) -> float | None:
         """Freeze the pending delta and price the write.
 
-        Returns ``(serialize_seconds, drain_seconds)`` for the *full*
-        cumulative state (classic CPR writes everything, so cost grows
-        with progress), or None when there is nothing to snapshot.
-        Items accumulated while the write is in flight stay pending for
-        the next snapshot.
+        Returns the write charge (serialize plus drain) of the *full*
+        cumulative state — classic CPR writes everything, so cost grows
+        with progress — or None when there is nothing to snapshot or a
+        write is already in flight.  Items accumulated while the write
+        is in flight stay pending for the next snapshot.
         """
         if self._frozen is not None or not self._pending:
             return None
         self._frozen, self._pending = self._pending, []
-        state_bytes = self._state_bytes(self._frozen)
-        return (
-            self.cost_model.serialize_seconds(state_bytes),
-            self.cost_model.drain_seconds(state_bytes),
-        )
+        return self.cost_model.write_seconds(self._state_bytes(self._frozen))
 
     def commit(self, now: float) -> Checkpoint:
         """Durably commit the frozen delta as a new snapshot at ``now``."""
@@ -447,7 +481,7 @@ class Checkpointer:
                 self.rank, seq, self.clock_offset + now
             )
         source = self.result_source or {}
-        ids = tuple(id(it) for it in frozen)
+        ids = [item_id for item_id, _n_bytes in frozen]
         checkpoint = Checkpoint(
             rank=self.rank,
             seq=seq,
@@ -464,18 +498,17 @@ class Checkpointer:
         self.store.add(checkpoint)
         self.last_checkpoint_at = now
         self.batches_since = 0
-        self.n_checkpoints += 1
         return checkpoint
 
     # -- crash-time bookkeeping ---------------------------------------------------
 
-    def uncheckpointed_items(self) -> list:
-        """Accumulated items no committed snapshot covers (frozen
-        in-flight delta included: the crash aborted that write)."""
-        frozen = self._frozen or []
-        return list(frozen) + list(self._pending)
+    def uncheckpointed_ids(self) -> list[Hashable]:
+        """Ids of the accumulates no committed snapshot covers (the
+        frozen in-flight delta first: the crash aborted that write)."""
+        in_flight = self._frozen or []
+        return [item_id for item_id, _n_bytes in in_flight + self._pending]
 
-    def _state_bytes(self, delta: list) -> int:
+    def _state_bytes(self, delta: list[tuple[Hashable, int]]) -> int:
         """Cumulative full-state size: covered bytes plus the delta."""
         covered = self.store.covered_bytes(self.store.frontier_seq)
-        return covered + sum(int(it.output_bytes) for it in delta)
+        return covered + sum(int(n_bytes) for _item_id, n_bytes in delta)

@@ -151,8 +151,6 @@ def run_with_recovery(
     injector=None,
     tracer: Tracer | None = None,
     registry=None,
-    ledger=None,
-    task_key=None,
 ) -> RecoveredRun:
     """Execute ``tasks`` on one rank under checkpoint/restart.
 
@@ -176,14 +174,6 @@ def run_with_recovery(
             :meth:`~repro.obs.metrics.MetricsRegistry.shifted` view so
             samples land on the global timeline, and the protocol itself
             publishes restart/rollback/restore metrics.
-        ledger: optional :class:`~repro.recovery.checkpoint.
-            MigrationLedger` shared with a work-stealing scheduler.
-            Replay honours it: an uncovered task whose *current* owner
-            (per the ledger) is another rank is skipped here — it
-            replays on the rank actually holding it, not its static
-            home.  Requires ``task_key``.
-        task_key: callable mapping a task to its ledger task id
-            (required when ``ledger`` is given).
 
     Returns:
         A :class:`RecoveredRun`.
@@ -199,13 +189,9 @@ def run_with_recovery(
                 "(HybridTask.work must be set): replay needs stable "
                 "item identity across restarts"
             )
-    if ledger is not None and task_key is None:
-        raise RecoveryConfigError(
-            "a migration ledger needs task_key to map tasks to ledger ids"
-        )
     schedule = injector.crash_times(rank) if injector is not None else ()
     sink: dict = {}
-    store = CheckpointStore(rank=rank, ledger=ledger)
+    store = CheckpointStore(rank=rank)
     checkpointer = Checkpointer(
         store,
         config.policy,
@@ -265,48 +251,35 @@ def run_with_recovery(
                 break
             crashed_wall = wall + timeline.halted_at
             restarts += 1
-            rolled = checkpointer.uncheckpointed_items()
             if restarts > config.max_restarts:
                 covered = store.covered_ids(store.frontier_seq)
                 lost = sum(1 for t in tasks if id(t.work) not in covered)
                 raise DataLossError(rank, restarts - 1, crashed_wall, lost)
             # survivors detect the crash, then restore the newest
             # readable snapshot (corrupted ones charge a read and are
-            # walked past), then relaunch the rank
+            # walked past), then relaunch the rank; the rollback cancels
+            # every accumulate recovery cannot keep
             detect_at = crashed_wall + config.failure_detection_timeout
-            choice, tried = store.select_restore()
-            read_cost = sum(
-                config.cost_model.read_seconds(ck.state_bytes) for ck in tried
-            )
+            restored = store.restore(checkpointer.uncheckpointed_ids())
             restore_done = (
-                detect_at + config.cost_model.restart_seconds + read_cost
+                detect_at
+                + config.cost_model.restart_seconds
+                + restored.read_seconds(config.cost_model)
             )
-            target_seq = choice.seq if choice is not None else -1
-            # the rollback cancels every accumulate recovery cannot keep:
-            # the un-checkpointed tail *and* anything covered only by
-            # snapshots the corruption walk discarded
-            kept = {ck.seq for ck in store.lineage(target_seq)}
-            discarded_ids = [
-                item_id
-                for ck in store.lineage(store.frontier_seq)
-                if ck.seq not in kept
-                for item_id in ck.item_ids
-            ]
-            rolled_ids = discarded_ids + [id(it) for it in rolled]
+            rolled_ids = restored.rolled_ids
+            covered = restored.covered
             if tracer is not None:
-                tracer.log_rollback(target_seq, rolled_ids, detect_at)
+                tracer.log_rollback(restored.target, rolled_ids, detect_at)
                 tracer.log_restore(
-                    target_seq, restore_done,
-                    tried=[ck.seq for ck in tried],
+                    restored.target, restore_done,
+                    tried=[ck.seq for ck in restored.tried],
                 )
-            store.restore_to(target_seq)
-            covered = store.covered_ids(target_seq)
             # the sink mirrors durable state: drop rolled-back results,
             # reload covered ones from the snapshot copies
             for item_id in list(sink):
                 if item_id not in covered:
                     del sink[item_id]
-            for ck in store.lineage(target_seq):
+            for ck in store.lineage(restored.target):
                 for item_id, result in ck.results:
                     sink[item_id] = _copy_result(result)
             n_restores += 1
@@ -321,15 +294,7 @@ def run_with_recovery(
                 registry.histogram("recovery.restore_seconds").observe(
                     restore_done, restore_done - detect_at
                 )
-            remaining = [
-                t
-                for t in tasks
-                if id(t.work) not in covered
-                and (
-                    ledger is None
-                    or ledger.current_owner(task_key(t), rank) == rank
-                )
-            ]
+            remaining = [t for t in tasks if id(t.work) not in covered]
             wall = restore_done
     finally:
         for t in tasks:

@@ -549,7 +549,9 @@ class NodeRuntime:
             )
         pools.data.release()
         if self.checkpointer is not None:
-            self.checkpointer.note_accumulate(batch.items, env.now)
+            self.checkpointer.note_accumulate(
+                (id(it), it.output_bytes) for it in batch.items
+            )
             if self.checkpointer.due(env.now):
                 yield from self._checkpoint_write(env, pools, timeline)
 
@@ -563,14 +565,13 @@ class NodeRuntime:
         delta is frozen at ``begin`` and committed only when the drain
         completes — a crash in between leaves no partial snapshot.
         """
-        charges = self.checkpointer.begin(env.now)
-        if charges is None:
+        write_seconds = self.checkpointer.begin()
+        if write_seconds is None:
             return
-        serialize_seconds, drain_seconds = charges
         t0 = env.now
         req = pools.data.request()
         yield req
-        yield env.timeout(serialize_seconds + drain_seconds)
+        yield env.timeout(write_seconds)
         pools.data.release()
         checkpoint = self.checkpointer.commit(env.now)
         self._trace("checkpoint", f"seq {checkpoint.seq}", t0, env.now)

@@ -18,12 +18,13 @@ from repro.cluster.stealing import (
 from repro.dht.process_map import ProcessMap, SubtreePartitionMap
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.models import GpuFailure
+from repro.faults.models import CheckpointCorruption, GpuFailure, NodeCrash
 from repro.lint.trace_check import find_migration_violations, find_violations
 from repro.mra.key import Key
 from repro.obs.dump import merge_order_log
 from repro.obs.metrics import MetricsRegistry
-from repro.recovery.policy import EveryNBatches
+from repro.recovery.checkpoint import CheckpointCostModel
+from repro.recovery.policy import EveryNBatches, FixedInterval
 from repro.recovery.protocol import RecoveryConfig
 from repro.runtime.task import TaskKind, WorkItem
 from repro.runtime.trace import Tracer
@@ -54,7 +55,8 @@ def flat_cost(rank, tasks):
     return 0.01 * len(tasks)
 
 
-def run_engine(tasks, n_ranks, config, *, tracers=None, registry=None):
+def run_engine(tasks, n_ranks, config, *, tracers=None, registry=None,
+               injector=None, recovery=None):
     engine = StealingEngine(
         SlotMap(n_ranks),
         NetworkModel(),
@@ -62,6 +64,8 @@ def run_engine(tasks, n_ranks, config, *, tracers=None, registry=None):
         flat_cost,
         rank_tracers=tracers,
         registry=registry,
+        injector=injector,
+        recovery=recovery,
     )
     return engine.run(tasks)
 
@@ -315,13 +319,16 @@ def test_locality_preferences_point_at_adjacent_owners():
     assert prefs == {0: (1,), 1: (0,)}
 
 
-def test_adjacent_ranks_query():
-    pmap = SlotMap(4)
+def test_locality_preferences_leave_isolated_ranks_out():
     keys = [Key(2, (0, 0)), Key(2, (1, 0)), Key(2, (3, 3))]
-    assert pmap.adjacent_ranks(0, keys) == (1,)
-    assert pmap.adjacent_ranks(1, keys) == (0,)
+    tasks = [
+        ClusterTask(key=key, neighbor=key, item=WorkItem(kind=KIND_A))
+        for key in keys
+    ]
+    prefs = locality_preferences(SlotMap(4), tasks)
+    assert prefs == {0: (1,), 1: (0,)}
     # rank 3's box at (3,3) has no neighbour in the key set
-    assert pmap.adjacent_ranks(3, keys) == ()
+    assert 3 not in prefs
 
 
 # -- simulation integration --------------------------------------------------------
@@ -451,3 +458,142 @@ def test_migration_preserves_exactly_once(
         for item in rec.ids
     ]
     assert sorted(accumulated) == sorted(f"t{i}" for i in range(len(tasks)))
+
+
+# -- crash recovery ----------------------------------------------------------------
+
+
+def chaos_logs_are_clean(tracers):
+    """The chaos checkers over a stealing run: cross-rank migration
+    ledger plus every rank's own recovery ledger."""
+    logs = {r: merge_order_log(t.log) for r, t in tracers.items()}
+    assert find_migration_violations(logs) == []
+    for rank, log in logs.items():
+        assert find_violations(log) == [], f"rank {rank}"
+
+
+def test_crash_on_an_exited_rank_relaunches_its_loop():
+    # rank 4's outage lets ``remaining`` touch 0, so idle ranks exit
+    # their loops; rank 0 crashes afterwards and its rolled-back work
+    # must replay on a relaunched loop instead of being lost
+    workload = SyntheticApplyWorkload(
+        dim=3, k=6, rank=30, n_tasks=60, n_tree_leaves=12, seed=34, skew=4.0
+    )
+    tracers = {r: Tracer() for r in range(5)}
+    sim = ClusterSimulation(
+        5,
+        SubtreePartitionMap(5, anchor_level=1),
+        mode="hybrid",
+        flush_interval=0.005,
+        max_batch_size=8,
+        stealing=StealingConfig(
+            chunk_size=3, min_victim_queue=2, executor="analytic"
+        ),
+        fault_injector=FaultInjector(
+            faults=[NodeCrash(rank=4, at=0.0258), NodeCrash(rank=0, at=0.0288)]
+        ),
+        recovery=RecoveryConfig(
+            FixedInterval(0.004),
+            CheckpointCostModel(drain_gbps=4.0, restart_seconds=1e-3),
+            failure_detection_timeout=1e-3,
+            max_restarts=4,
+        ),
+        rank_tracers=tracers,
+    )
+    res = sim.run(workload.tasks)
+    assert [r.restarts for r in res.node_results] == [1, 0, 0, 0, 1]
+    chaos_logs_are_clean(tracers)
+
+
+@pytest.mark.parametrize(
+    "n_tasks, min_victim_queue, crash_at, outage, corruption",
+    [
+        # rank 1's stolen t8 is rolled back at the first crash, still
+        # queued at the second
+        pytest.param(10, 1, (0.046875, 0.0625), 1e-3, 1.0, id="rolled-back"),
+        # rank 1's stolen t12 is lost mid-chunk at the first crash,
+        # still queued at the second
+        pytest.param(14, 2, (0.046875, 0.09375), 0.03, 0.3,
+                     id="lost-mid-chunk"),
+    ],
+)
+def test_a_thief_finishes_the_stolen_work_it_flushed(
+    n_tasks, min_victim_queue, crash_at, outage, corruption
+):
+    """A thief that crashes twice re-homes only stolen tasks it never
+    flushed: work it flushed and requeued at the first restore stays
+    its own, so its per-rank ledger still nets to exactly once."""
+    tracers = {r: Tracer() for r in range(2)}
+    outcome = run_engine(
+        make_tasks([0] * n_tasks),
+        2,
+        StealingConfig(chunk_size=1, min_victim_queue=min_victim_queue),
+        tracers=tracers,
+        injector=FaultInjector(
+            seed=n_tasks,
+            faults=[NodeCrash(rank=1, at=at) for at in crash_at]
+            + [CheckpointCorruption(rate=corruption)],
+        ),
+        recovery=RecoveryConfig(
+            EveryNBatches(1),
+            CheckpointCostModel(restart_seconds=outage / 3),
+            failure_detection_timeout=outage,
+            max_restarts=2,
+        ),
+    )
+    assert outcome.restarts_per_rank == [0, 2]
+    chaos_logs_are_clean(tracers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    slots=st.lists(st.integers(min_value=0, max_value=4), min_size=1,
+                   max_size=24),
+    n_ranks=st.integers(min_value=2, max_value=5),
+    chunk_size=st.integers(min_value=1, max_value=4),
+    min_victim_queue=st.integers(min_value=1, max_value=3),
+    crashes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.floats(min_value=0.0, max_value=0.12),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    policy=st.sampled_from(
+        [EveryNBatches(1), EveryNBatches(3), FixedInterval(0.02),
+         FixedInterval(0.05)]
+    ),
+    outage=st.tuples(
+        st.sampled_from([1e-3, 0.01, 0.03]), st.sampled_from([1e-3, 0.01])
+    ),
+    corruption=st.sampled_from([None, 0.3, 1.0]),
+)
+def test_stealing_recovery_completes_every_task(
+    slots, n_ranks, chunk_size, min_victim_queue, crashes, policy, outage,
+    corruption,
+):
+    """Whatever the crash schedule: every task completes (the engine
+    raises on lost work) and the chaos checkers stay clean."""
+    faults = [NodeCrash(rank=r % n_ranks, at=at) for r, at in crashes]
+    if corruption is not None:
+        faults.append(CheckpointCorruption(rate=corruption))
+    detection_timeout, restart_seconds = outage
+    tracers = {r: Tracer() for r in range(n_ranks)}
+    outcome = run_engine(
+        make_tasks(slots),
+        n_ranks,
+        StealingConfig(
+            chunk_size=chunk_size, min_victim_queue=min_victim_queue
+        ),
+        tracers=tracers,
+        injector=FaultInjector(seed=len(slots), faults=faults),
+        recovery=RecoveryConfig(
+            policy,
+            CheckpointCostModel(restart_seconds=restart_seconds),
+            failure_detection_timeout=detection_timeout,
+            max_restarts=len(crashes),
+        ),
+    )
+    assert outcome.n_crashes <= len(crashes)
+    chaos_logs_are_clean(tracers)
