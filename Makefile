@@ -1,12 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins examples
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests examples
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
-## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins
-## and examples; the coverage floor and the export `cmp` stay CI-only
-check: lint lint-tests races ruff mypy test serve-smoke perf-pins examples
+## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins,
+## perf-tests and examples; the coverage floor and the export `cmp` stay
+## CI-only
+check: lint lint-tests races ruff mypy test serve-smoke perf-pins perf-tests examples
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -96,6 +97,12 @@ des-smoke:
 ## invariant fails (blocking in CI)
 perf-pins:
 	$(PYTHON) perf/run.py --seed 0 --seconds 1 --trace 0
+
+## perf-tests: the benchmark harness's own tests — span probes resolve
+## and restore, the compare rule, pins, the host-speed probe (tier-1
+## collects only tests/, so nothing else runs them; blocking in CI)
+perf-tests:
+	$(PYTHON) -m pytest perf -q
 
 ## examples: run every script in examples/; fails on the first non-zero
 ## exit (blocking in CI)

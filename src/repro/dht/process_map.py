@@ -24,16 +24,30 @@ from repro.mra.key import Key
 
 
 class ProcessMap(abc.ABC):
-    """Maps tree keys to compute-node ranks."""
+    """Maps tree keys to compute-node ranks.
+
+    A map never changes once built, so :meth:`owner` places each key
+    once and memoizes its rank per map instance.  A policy implements
+    only :meth:`_place`.
+    """
 
     def __init__(self, n_ranks: int):
         if n_ranks < 1:
             raise ClusterConfigError(f"need at least one rank, got {n_ranks}")
         self.n_ranks = n_ranks
+        self._placed: dict[Key, int] = {}
 
-    @abc.abstractmethod
     def owner(self, key: Key) -> int:
         """The rank owning ``key`` (in ``[0, n_ranks)``)."""
+        rank = self._placed.get(key)
+        if rank is None:
+            rank = self._placed[key] = self._place(key)
+        return rank
+
+    @abc.abstractmethod
+    def _place(self, key: Key) -> int:
+        """The policy's rank for ``key``, computed from scratch (once per
+        key and map, by :meth:`owner`)."""
 
     def anchor_of(self, key: Key) -> Key:
         """The key that decides ``key``'s rank.
@@ -41,7 +55,8 @@ class ProcessMap(abc.ABC):
         Policies without subtree structure route every key by itself;
         partitioned maps override this to walk to the owning anchor.
         The contract tested by the property suite: for every key,
-        ``owner(key) == owner(anchor_of(key))``.
+        ``owner(key) == owner(anchor_of(key))``.  A partitioned policy
+        calls it from :meth:`_place`, so it runs once per placed key.
         """
         return key
 
@@ -57,7 +72,7 @@ def _unit_displacements(dim: int) -> list[tuple[int, ...]]:
 class HashProcessMap(ProcessMap):
     """Even distribution by stable key hash (no locality)."""
 
-    def owner(self, key: Key) -> int:
+    def _place(self, key: Key) -> int:
         """The rank holding ``key``: its stable hash modulo the ranks."""
         return stable_key_hash(key) % self.n_ranks
 
@@ -91,7 +106,7 @@ class SubtreePartitionMap(ProcessMap):
             k = k.parent()
         return k
 
-    def owner(self, key: Key) -> int:
+    def _place(self, key: Key) -> int:
         """The rank of ``key``'s anchor subtree (coarse keys hash directly)."""
         if key.level < self.anchor_level:
             # the (few) coarse keys above the anchors are hashed directly
@@ -193,7 +208,7 @@ class CostPartitionMap(ProcessMap):
             k = k.parent()
         return k
 
-    def owner(self, key: Key) -> int:
+    def _place(self, key: Key) -> int:
         """The anchor's assigned rank (hash fallback off the known tree)."""
         anchor = self.anchor_of(key)
         rank = self._anchors.get(anchor)
@@ -217,7 +232,7 @@ class LevelStripeMap(ProcessMap):
     paper's non-linear scaling is the locality map's fault.
     """
 
-    def owner(self, key: Key) -> int:
+    def _place(self, key: Key) -> int:
         """Stripe by translation index within the key's level."""
         index = 0
         for t in key.translation:

@@ -17,6 +17,14 @@ a two-phase protocol:
 - :meth:`commit_transfer` makes the shipped blocks resident once the
   transfer has completed on the simulated clock.
 
+The partition is made per batch, not per key: a batch whose blocks are
+all new (neither resident nor in flight) ships them all, and any other
+batch is walked key by key.  The cache records which tickets it issued
+are still in flight; :meth:`commit_transfer` and :meth:`abort_transfer`
+land only such a ticket and raise, changing nothing, for any other —
+one already committed or aborted (even when its blocks have since been
+shipped again by another ticket) or one this cache never issued.
+
 Marking blocks resident at *lookup* time — the old single-phase
 :meth:`bytes_to_transfer`, kept for non-overlapping callers — is a
 TOCTOU race once transfers overlap: a second in-flight batch would see
@@ -75,7 +83,11 @@ class GpuBlockCache:
         self.reserved_bytes = 0
         self.stats = CacheStats()
         self._resident: set[Hashable] = set()
-        self._in_flight: dict[Hashable, int] = {}
+        self._in_flight: set[Hashable] = set()
+        #: tickets with ship keys issued here and not yet committed or
+        #: aborted, by ``id`` (the entry keeps the ticket alive, so no
+        #: other object can take its id while it is open)
+        self._open: dict[int, TransferTicket] = {}
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._resident
@@ -86,15 +98,6 @@ class GpuBlockCache:
     def in_flight(self, key: Hashable) -> bool:
         """True while ``key`` is being transferred but has not arrived."""
         return key in self._in_flight
-
-    @staticmethod
-    def _unique(block_keys: Iterable[Hashable]) -> list[Hashable]:
-        """Deduplicate keys preserving first-occurrence order."""
-        seen: dict[Hashable, None] = {}
-        for k in block_keys:
-            if k not in seen:
-                seen[k] = None
-        return list(seen)
 
     # -- two-phase transfer protocol -------------------------------------------
 
@@ -107,17 +110,21 @@ class GpuBlockCache:
         capacity; residency is granted only by :meth:`commit_transfer`.
         Hits and waits cost nothing on PCIe (the whole point of
         write-once residency) — but a wait is only *usable* once the
-        owning transfer commits.  All statistics count unique keys.
+        owning transfer commits.  All statistics count unique keys, and
+        every part keeps the keys' first-occurrence order.
         """
-        unique = self._unique(block_keys)
-        hits = tuple(k for k in unique if k in self._resident)
-        waits = tuple(
-            k for k in unique if k in self._in_flight and k not in self._resident
-        )
-        ship = tuple(
-            k for k in unique if k not in self._resident and k not in self._in_flight
-        )
-        per_block = int(bytes_per_block)
+        unique = tuple(dict.fromkeys(block_keys))
+        resident, in_flight = self._resident, self._in_flight
+        if resident.isdisjoint(unique) and in_flight.isdisjoint(unique):
+            hits, waits, ship = (), (), unique
+        else:
+            hits = tuple(k for k in unique if k in resident)
+            waits = tuple(
+                k for k in unique if k in in_flight and k not in resident
+            )
+            ship = tuple(
+                k for k in unique if k not in resident and k not in in_flight
+            )
         total = int(len(ship) * bytes_per_block)
         used = self.resident_bytes + self.reserved_bytes
         if used + total > self.capacity_bytes:
@@ -125,26 +132,36 @@ class GpuBlockCache:
                 f"GPU block cache overflow: {used + total} bytes "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-        for k in ship:
-            self._in_flight[k] = per_block
+        in_flight.update(ship)
         self.reserved_bytes += total
         self.stats.hits += len(hits)
         self.stats.waits += len(waits)
         self.stats.misses += len(ship)
-        return TransferTicket(
+        ticket = TransferTicket(
             ship_keys=ship, wait_keys=waits, hit_keys=hits, bytes_to_ship=total
         )
+        if ship:
+            self._open[id(ticket)] = ticket
+        return ticket
+
+    def _land(self, ticket: TransferTicket, verb: str) -> None:
+        """Take a ticket's ship keys out of flight and release its
+        reservation — only when this cache issued the ticket and it has
+        not landed yet, so a rejected ticket changes nothing.  A ticket
+        that ships nothing has nothing to land."""
+        ship = ticket.ship_keys
+        if ship and self._open.pop(id(ticket), None) is not ticket:
+            raise HardwareModelError(
+                f"{verb} of a transfer ticket that is not in flight "
+                "(already committed or aborted, or not issued by this cache)"
+            )
+        self._in_flight.difference_update(ship)
+        self.reserved_bytes -= ticket.bytes_to_ship
 
     def commit_transfer(self, ticket: TransferTicket) -> None:
         """Make a ticket's shipped blocks resident (transfer completed)."""
-        for k in ticket.ship_keys:
-            if k not in self._in_flight:
-                raise HardwareModelError(
-                    f"commit of block {k!r} that is not in flight"
-                )
-            del self._in_flight[k]
-            self._resident.add(k)
-        self.reserved_bytes -= ticket.bytes_to_ship
+        self._land(ticket, "commit")
+        self._resident.update(ticket.ship_keys)
         self.resident_bytes += ticket.bytes_to_ship
         self.stats.bytes_inserted += ticket.bytes_to_ship
 
@@ -155,16 +172,10 @@ class GpuBlockCache:
         gaining residency and their reserved bytes are released, so
         waiters blocked on those keys re-ship them on their own next
         :meth:`begin_transfer` instead of waiting forever on a transfer
-        that will never commit.  Aborting a ticket whose blocks are not
-        in flight (already committed or aborted) raises.
+        that will never commit.  Aborting a ticket that is not in flight
+        (already committed or aborted) raises and changes nothing.
         """
-        for k in ticket.ship_keys:
-            if k not in self._in_flight:
-                raise HardwareModelError(
-                    f"abort of block {k!r} that is not in flight"
-                )
-            del self._in_flight[k]
-        self.reserved_bytes -= ticket.bytes_to_ship
+        self._land(ticket, "abort")
         self.stats.aborts += len(ticket.ship_keys)
 
     # -- single-phase convenience (no overlapping transfers) --------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.errors import RuntimeConfigError
 from repro.kernels.base import ComputeKernel
 from repro.runtime.batching import Batch
-from repro.runtime.task import BatchStats, WorkItem
+from repro.runtime.task import BatchStats, BlockFold, WorkItem
 
 MODES = ("cpu", "gpu", "hybrid")
 
@@ -244,11 +244,11 @@ class HybridDispatcher:
     def _running_stats(items: list[WorkItem]) -> list[BatchStats]:
         """Cost fields of every prefix of ``items`` (length n+1, entry 0
         empty), built in one pass.  ``block_keys`` stays empty: the cost
-        models read only ``unique_block_bytes``, so one seen-key set
+        models read only ``unique_block_bytes``, so one :class:`BlockFold`
         serves every prefix."""
         out = [BatchStats()]
         acc = BatchStats()
-        seen: set = set()
+        blocks = BlockFold()
         for it in items:
             acc = BatchStats(
                 n_items=acc.n_items + 1,
@@ -258,13 +258,8 @@ class HybridDispatcher:
                 steps=acc.steps + it.steps,
                 step_rows=max(acc.step_rows, it.step_rows),
                 step_q=max(acc.step_q, it.step_q),
-                unique_block_bytes=acc.unique_block_bytes,
+                unique_block_bytes=acc.unique_block_bytes + blocks.add(it),
             )
-            new = [k for k in it.block_keys if k not in seen]
-            if new:
-                seen.update(new)
-                per_block = it.block_bytes / max(1, len(it.block_keys))
-                acc.unique_block_bytes += int(per_block * len(new))
             out.append(acc)
         return out
 

@@ -50,7 +50,12 @@ class WorkItem:
         output_bytes: bytes produced by the compute phase.
         block_keys: identities of the operator blocks the item needs on
             the device; the write-once GPU cache dedups their transfer.
-        block_bytes: total size of those blocks if they all missed.
+            Items of one block family share one tuple object, which lets
+            :class:`BlockFold` fold the family once per aggregate.
+        block_bytes: total size of those blocks if they all missed.  An
+            aggregate charges ``block_bytes / len(block_keys)`` for each
+            entry of ``block_keys`` it has not seen before this item, so
+            a key repeated inside one tuple is charged once per repeat.
         steps: number of small matrix multiplications inside the item
             (``rank x dim`` for Formula 1) — the quantity that decides
             custom-kernel vs cuBLAS behaviour.
@@ -104,9 +109,60 @@ class HybridTask:
         return self.work
 
 
+class BlockFold:
+    """The operator-block charge of a growing sequence of items.
+
+    Each item is charged ``block_bytes / len(block_keys)`` for every
+    entry of its ``block_keys`` not seen before it: the per-key scan
+    ``[k for k in keys if k not in seen]``, in-tuple repeats included.
+    The fold gets that count without the scan wherever it can:
+
+    - a tuple object already folded here adds no key (compared by
+      ``id``, which is safe because the caller's items keep every
+      tuple alive while the fold lives);
+    - a tuple disjoint from the keys seen so far adds ``len(keys)``,
+      with one set operation;
+    - only a tuple that overlaps the seen keys is scanned key by key.
+
+    :meth:`BatchStats.of` and ``HybridDispatcher._running_stats`` share
+    this one dedup rule.
+    """
+
+    __slots__ = ("seen", "_folded")
+
+    def __init__(self) -> None:
+        #: every key folded so far, in first-use order
+        self.seen: dict[Hashable, None] = {}
+        self._folded: set[int] = set()
+
+    def add(self, item: WorkItem) -> int:
+        """Fold ``item``'s block keys in; returns the block bytes they add."""
+        keys = item.block_keys
+        set_id = id(keys)
+        if not keys or set_id in self._folded:
+            return 0
+        self._folded.add(set_id)
+        seen = self.seen
+        new = keys if seen.keys().isdisjoint(keys) else [
+            k for k in keys if k not in seen
+        ]
+        if not new:
+            return 0
+        seen.update(dict.fromkeys(new))
+        per_block = item.block_bytes / len(keys)
+        return int(per_block * len(new))
+
+
 @dataclass
 class BatchStats:
-    """Aggregate shape of a batch, consumed by the kernel cost models."""
+    """Aggregate shape of a batch, consumed by the kernel cost models.
+
+    ``unique_block_bytes`` is the :class:`BlockFold` charge: each item
+    pays its per-block size for every entry of its ``block_keys`` that
+    no earlier item used.  A key an item lists twice is charged twice
+    (``BatchedApply`` lists one key per axis, so a displacement with
+    equal components repeats keys), while ``block_keys`` holds it once.
+    """
 
     n_items: int = 0
     flops: int = 0
@@ -121,11 +177,11 @@ class BatchStats:
 
     @classmethod
     def of(cls, items: list[WorkItem]) -> "BatchStats":
-        """Aggregate ``items``, deduplicating operator-block bytes (each
-        block is charged at the per-block size of the item that first
-        uses it)."""
+        """Aggregate ``items``, deduplicating operator-block bytes through
+        one :class:`BlockFold` (each block is charged at the per-block
+        size of the item that first uses it)."""
         stats = cls()
-        seen: dict[Hashable, None] = {}
+        blocks = BlockFold()
         for it in items:
             stats.n_items += 1
             stats.flops += it.flops
@@ -134,11 +190,6 @@ class BatchStats:
             stats.steps += it.steps
             stats.step_rows = max(stats.step_rows, it.step_rows)
             stats.step_q = max(stats.step_q, it.step_q)
-            new = [k for k in it.block_keys if k not in seen]
-            for k in new:
-                seen[k] = None
-            if it.block_keys:
-                per_block = it.block_bytes / max(1, len(it.block_keys))
-                stats.unique_block_bytes += int(per_block * len(new))
-        stats.block_keys = tuple(seen)
+            stats.unique_block_bytes += blocks.add(it)
+        stats.block_keys = tuple(blocks.seen)
         return stats

@@ -36,7 +36,7 @@ KIND_B = TaskKind("apply", (3, 20))
 class SlotMap(ProcessMap):
     """Test-only map: first translation component modulo ranks."""
 
-    def owner(self, key):
+    def _place(self, key):
         return key.translation[0] % self.n_ranks
 
 

@@ -13,6 +13,7 @@ from repro.dht.process_map import (
 )
 from repro.errors import ClusterConfigError
 from repro.mra.key import Key
+from tests.cluster.test_stealing import SlotMap
 
 
 def tree_keys(dim=2, n_leaves=128, seed=3):
@@ -194,3 +195,58 @@ def test_every_policy_is_total_and_anchor_consistent(
             anchor = pmap.anchor_of(key)
             assert pmap.anchor_of(anchor) == anchor  # idempotent
             assert pmap.owner(anchor) == owner  # routing agreement
+
+
+class _CountingStripeMap(LevelStripeMap):
+    """LevelStripeMap that counts how often its policy runs."""
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.placements = 0
+
+    def _place(self, key):
+        self.placements += 1
+        return super()._place(key)
+
+
+def test_owner_places_each_key_once():
+    """A map never changes once built, so a repeated key, or an equal
+    key built anew, is placed by the policy only once per map."""
+    keys = tree_keys(n_leaves=64)
+    pmap = _CountingStripeMap(4)
+    first = [pmap.owner(k) for k in keys]
+    again = [pmap.owner(Key(k.level, k.translation)) for k in keys]
+    assert again == first
+    assert pmap.placements == len(set(keys))
+    assert _CountingStripeMap(4).owner(keys[0]) == first[0]  # memo is per map
+
+
+@given(
+    n_ranks=st.integers(1, 16),
+    anchor_levels=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+    target_chunks=st.integers(1, 24),
+    pool=st.lists(_tree_key(), min_size=1, max_size=16, unique=True),
+    order=st.lists(st.integers(0, 1000), min_size=1, max_size=64),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoized_owner_matches_the_policy(
+    n_ranks, anchor_levels, target_chunks, pool, order
+):
+    """Every map's memoized ``owner`` equals its unmemoized policy over
+    repeated queries interleaved across maps, and still agrees with its
+    ``anchor_of`` routing."""
+    weights = {k: 1.0 + (i % 3) for i, k in enumerate(pool)}
+    maps = [
+        HashProcessMap(n_ranks),
+        *(SubtreePartitionMap(n_ranks, anchor_level=a) for a in anchor_levels),
+        CostPartitionMap.from_weights(n_ranks, weights, granularity=2.0),
+        CostPartitionMap.from_weights(n_ranks, weights, target_chunks=target_chunks),
+        LevelStripeMap(n_ranks),
+        SlotMap(n_ranks),
+    ]
+    for i in order:
+        key = pool[i % len(pool)]
+        for pmap in maps:
+            owner = pmap.owner(key)
+            assert owner == pmap._place(key), (type(pmap).__name__, key)
+            assert pmap.owner(pmap.anchor_of(key)) == owner

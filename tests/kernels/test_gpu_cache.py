@@ -1,9 +1,12 @@
 """Tests for the write-once GPU block cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HardwareModelError
-from repro.kernels.gpu_cache import GpuBlockCache
+from repro.kernels.gpu_cache import GpuBlockCache, TransferTicket
+from repro.operators.cache import CacheStats
 
 
 def test_first_transfer_ships_everything():
@@ -88,8 +91,6 @@ def test_concurrent_batch_waits_instead_of_hitting():
 
 
 def test_commit_of_foreign_ticket_raises():
-    from repro.kernels.gpu_cache import TransferTicket
-
     cache = GpuBlockCache(1 << 20)
     bogus = TransferTicket(("x",), (), (), 100)
     with pytest.raises(HardwareModelError):
@@ -177,3 +178,173 @@ def test_abort_with_no_ship_keys_is_noop():
     cache.abort_transfer(hit_only)  # nothing in flight, nothing to undo
     assert "a" in cache
     assert cache.stats.aborts == 0
+
+
+_NOT_IN_FLIGHT = "of a transfer ticket that is not in flight"
+
+
+@pytest.mark.parametrize(
+    "stale_keys", [["a", "b"], ["a"]], ids=["partly-reshipped", "wholly-reshipped"]
+)
+@pytest.mark.parametrize("verb", ["commit", "abort"])
+def test_rejected_stale_ticket_leaves_other_reservations_intact(verb, stale_keys):
+    """Regression: a stale commit or abort changed the cache key by key
+    and raised only at its first key not in flight, by which time it
+    had made the live ticket's ``a`` resident (commit) or dropped it
+    from flight (abort); a stale ticket whose keys were all shipped
+    again was not rejected at all.  A rejected ticket changes nothing."""
+    cache = GpuBlockCache(1 << 20)
+    stale = cache.begin_transfer(stale_keys, 100.0)
+    cache.abort_transfer(stale)
+    live = cache.begin_transfer(["a"], 100.0)  # ``a`` is in flight again
+    with pytest.raises(HardwareModelError, match=f"{verb} {_NOT_IN_FLIGHT}"):
+        getattr(cache, f"{verb}_transfer")(stale)
+    assert cache.in_flight("a") and "a" not in cache
+    assert cache.resident_bytes == 0
+    assert cache.reserved_bytes == 100
+    assert cache.stats.aborts == len(stale_keys)
+    assert cache.stats.bytes_inserted == 0
+    cache.commit_transfer(live)
+    assert "a" in cache
+    assert cache.resident_bytes == 100
+    assert cache.reserved_bytes == 0
+
+
+# -- differential check against the per-key partition ------------------------
+
+
+class PerKeyCache:
+    """Test-only reference: the key-by-key partition, commit and abort
+    the cache used before it partitioned whole batches, with each
+    in-flight key recording the ticket that ships it, and commit and
+    abort landing a ticket only when every one of its ship keys is in
+    flight for that very ticket."""
+
+    def __init__(self, capacity_bytes):
+        self.capacity_bytes = capacity_bytes
+        self.resident_bytes = 0
+        self.reserved_bytes = 0
+        self.stats = CacheStats()
+        self._resident = set()
+        self._in_flight = {}
+
+    def __contains__(self, key):
+        return key in self._resident
+
+    def __len__(self):
+        return len(self._resident)
+
+    def in_flight(self, key):
+        return key in self._in_flight
+
+    def begin_transfer(self, block_keys, bytes_per_block):
+        unique = []
+        for k in block_keys:
+            if k not in unique:
+                unique.append(k)
+        hits = tuple(k for k in unique if k in self._resident)
+        waits = tuple(
+            k for k in unique if k in self._in_flight and k not in self._resident
+        )
+        ship = tuple(
+            k for k in unique if k not in self._resident and k not in self._in_flight
+        )
+        total = int(len(ship) * bytes_per_block)
+        used = self.resident_bytes + self.reserved_bytes
+        if used + total > self.capacity_bytes:
+            raise HardwareModelError(
+                f"GPU block cache overflow: {used + total} bytes "
+                f"exceeds capacity {self.capacity_bytes}"
+            )
+        ticket = TransferTicket(ship, waits, hits, total)
+        for k in ship:
+            self._in_flight[k] = ticket
+        self.reserved_bytes += total
+        self.stats.hits += len(hits)
+        self.stats.waits += len(waits)
+        self.stats.misses += len(ship)
+        return ticket
+
+    def _check(self, ticket, verb):
+        for k in ticket.ship_keys:
+            if self._in_flight.get(k) is not ticket:
+                raise HardwareModelError(
+                    f"{verb} {_NOT_IN_FLIGHT} (already committed or aborted, "
+                    "or not issued by this cache)"
+                )
+
+    def commit_transfer(self, ticket):
+        self._check(ticket, "commit")
+        for k in ticket.ship_keys:
+            del self._in_flight[k]
+            self._resident.add(k)
+        self.reserved_bytes -= ticket.bytes_to_ship
+        self.resident_bytes += ticket.bytes_to_ship
+        self.stats.bytes_inserted += ticket.bytes_to_ship
+
+    def abort_transfer(self, ticket):
+        self._check(ticket, "abort")
+        for k in ticket.ship_keys:
+            del self._in_flight[k]
+        self.reserved_bytes -= ticket.bytes_to_ship
+        self.stats.aborts += len(ticket.ship_keys)
+
+
+_KEY_POOL = "abcdefgh"
+
+_cache_ops = st.lists(
+    st.one_of(
+        # keys repeat within one batch, and batches overlap on the pool
+        st.tuples(
+            st.just("begin"),
+            st.lists(st.sampled_from(_KEY_POOL), max_size=6),
+            st.sampled_from([0.0, 1.0, 37.5, 100.0, 250.9]),
+        ),
+        # any ticket issued so far, so stale and repeated tickets occur
+        st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 50)),
+    ),
+    max_size=40,
+)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except HardwareModelError as exc:
+        return "raised", str(exc)
+
+
+def _state(cache):
+    return (
+        cache.resident_bytes,
+        cache.reserved_bytes,
+        cache.stats,
+        len(cache),
+        [(k in cache, cache.in_flight(k)) for k in _KEY_POOL],
+    )
+
+
+@given(st.integers(1, 1500), _cache_ops)
+@settings(max_examples=200, deadline=None)
+def test_whole_batch_partition_matches_the_per_key_reference(capacity, ops):
+    """Random begin/commit/abort sequences, with repeated keys, stale
+    tickets and capacity overflow, give the same tickets (key order
+    included), counters, byte totals and errors as the per-key cache."""
+    fast, ref = GpuBlockCache(capacity), PerKeyCache(capacity)
+    tickets = []  # (fast ticket, reference ticket) of each begin
+    for op in ops:
+        if op[0] == "begin":
+            _, keys, per_block = op
+            got = _outcome(lambda: fast.begin_transfer(iter(keys), per_block))
+            want = _outcome(lambda: ref.begin_transfer(keys, per_block))
+            if got[0] == want[0] == "ok":
+                tickets.append((got[1], want[1]))
+        elif tickets:
+            verb, index = op
+            mine, theirs = tickets[index % len(tickets)]
+            got = _outcome(lambda: getattr(fast, f"{verb}_transfer")(mine))
+            want = _outcome(lambda: getattr(ref, f"{verb}_transfer")(theirs))
+        else:
+            continue
+        assert got == want, op
+        assert _state(fast) == _state(ref), op

@@ -136,40 +136,79 @@ def test_batch_stats_additive(n):
 #: BatchStats fields the kernel cost models read (all but block_keys)
 COST_FIELDS = [f.name for f in fields(BatchStats) if f.name != "block_keys"]
 
-_shared_block_items = st.lists(
-    st.builds(
-        WorkItem,
-        kind=st.just(TaskKind("t", 0)),
-        flops=st.integers(1_000_000, 200_000_000),
-        input_bytes=st.integers(0, 1 << 20),
-        output_bytes=st.integers(0, 1 << 20),
-        # a small key pool, so items share blocks; each item's block_bytes
-        # is drawn on its own, so the per-key size differs between items
-        block_keys=st.lists(st.integers(0, 7), max_size=5, unique=True).map(tuple),
-        block_bytes=st.integers(0, 1 << 22),
-        steps=st.integers(1, 300),
-        step_rows=st.integers(1, 400),
-        step_q=st.integers(1, 30),
-    ),
-    min_size=1,
-    max_size=30,
-)
+
+def per_key_stats(items) -> BatchStats:
+    """Test-only reference: the per-key scan that ``BatchStats.of`` and
+    ``_running_stats`` replaced with a fold of whole block sets."""
+    stats = BatchStats()
+    seen: dict = {}
+    for it in items:
+        stats.n_items += 1
+        stats.flops += it.flops
+        stats.input_bytes += it.input_bytes
+        stats.output_bytes += it.output_bytes
+        stats.steps += it.steps
+        stats.step_rows = max(stats.step_rows, it.step_rows)
+        stats.step_q = max(stats.step_q, it.step_q)
+        new = [k for k in it.block_keys if k not in seen]
+        for k in new:
+            seen[k] = None
+        if it.block_keys:
+            per_block = it.block_bytes / max(1, len(it.block_keys))
+            stats.unique_block_bytes += int(per_block * len(new))
+    stats.block_keys = tuple(seen)
+    return stats
 
 
-@given(_shared_block_items, st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _block_family_items(draw):
+    """Items over a few block sets of a small key pool: sets overlap,
+    repeat keys inside one tuple, or are empty, and an item either
+    shares its set's tuple object or carries an equal but distinct
+    copy.  Each item draws its own block_bytes, so the per-key size
+    differs between items of one set."""
+    families = draw(
+        st.lists(
+            st.lists(st.integers(0, 9), max_size=6).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    items = []
+    for _ in range(draw(st.integers(1, 30))):
+        keys = draw(st.sampled_from(families))
+        if draw(st.booleans()):
+            keys = tuple(list(keys))
+        items.append(
+            WorkItem(
+                kind=TaskKind("t", 0),
+                flops=draw(st.integers(1_000_000, 200_000_000)),
+                input_bytes=draw(st.integers(0, 1 << 20)),
+                output_bytes=draw(st.integers(0, 1 << 20)),
+                block_keys=keys,
+                block_bytes=draw(st.integers(0, 1 << 22)),
+                steps=draw(st.integers(1, 300)),
+                step_rows=draw(st.integers(1, 400)),
+                step_q=draw(st.integers(1, 30)),
+            )
+        )
+    return items
+
+
+@given(_block_family_items(), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
 def test_share_aggregates_match_their_reference(items, static_fraction):
-    """The dispatcher's aggregates equal ``BatchStats.of`` built from
-    scratch: the split search's running prefixes on every cost field
-    (block-byte dedup included), and each plan's share stats field for
-    field."""
-    for i, prefix in enumerate(HybridDispatcher._running_stats(items)):
-        reference = BatchStats.of(items[:i])
-        for name in COST_FIELDS:
-            assert getattr(prefix, name) == getattr(reference, name), (i, name)
-
-    first_use = list(dict.fromkeys(k for it in items for k in it.block_keys))
-    assert BatchStats.of(items).block_keys == tuple(first_use)
+    """The batch aggregates equal the per-key reference built from
+    scratch: ``BatchStats.of`` on every field (``block_keys`` order
+    included), the split search's running prefixes on every cost field
+    (block-byte dedup included), forwards and backwards (its suffixes),
+    and each plan's share stats field for field."""
+    assert BatchStats.of(items) == per_key_stats(items)
+    for seq in (items, items[::-1]):
+        for i, prefix in enumerate(HybridDispatcher._running_stats(seq)):
+            reference = per_key_stats(seq[:i])
+            for name in COST_FIELDS:
+                assert getattr(prefix, name) == getattr(reference, name), (i, name)
 
     cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
     gpu = CustomGpuKernel(GpuModel(TITAN_NODE.gpu))
@@ -186,5 +225,5 @@ def test_share_aggregates_match_their_reference(items, static_fraction):
     for disp in dispatchers:
         plan = disp.plan(batch, transfer_estimator=pcie_estimate)
         assert plan.cpu_items + plan.gpu_items == items
-        assert plan.cpu_stats == BatchStats.of(plan.cpu_items)
-        assert plan.gpu_stats == BatchStats.of(plan.gpu_items)
+        assert plan.cpu_stats == per_key_stats(plan.cpu_items)
+        assert plan.gpu_stats == per_key_stats(plan.gpu_items)
