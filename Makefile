@@ -1,13 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests examples
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests examples experiments-smoke
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins,
-## perf-tests and examples; the coverage floor and the export `cmp` stay
-## CI-only
-check: lint lint-tests races ruff mypy test serve-smoke perf-pins perf-tests examples
+## perf-tests, examples and experiments-smoke; the coverage floor and the
+## export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test serve-smoke perf-pins perf-tests examples experiments-smoke
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -111,6 +111,12 @@ examples:
 	    echo "== $$f"; \
 	    $(PYTHON) $$f || exit 1; \
 	done
+
+## experiments-smoke: every runner of `python -m repro.experiments` at a
+## tiny scale, so a runner broken by an API change fails a blocking gate
+## (the runners assert their own shape claims; blocking in CI)
+experiments-smoke:
+	$(PYTHON) -m repro.experiments all --scale 0.02
 
 ## trace-check: just the dynamic happens-before tests
 trace-check:

@@ -14,7 +14,7 @@ accumulations cross ranks, and those are asynchronous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.apps.workloads import ClusterTask
@@ -24,15 +24,14 @@ from repro.cluster.stealing import StealingConfig, StealingEngine
 from repro.dht.process_map import ProcessMap
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.policies import GpuBatchTimeout, RetryPolicy
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
-from repro.hardware.specs import NodeSpec, TITAN_NODE
+from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.recovery.protocol import RecoveryConfig, run_with_recovery
-from repro.runtime.dispatcher import AdaptiveDispatcher, HybridDispatcher
+from repro.runtime.dispatcher import HybridDispatcher
 from repro.runtime.node import NodeRuntime, NodeTimeline
 from repro.runtime.task import HybridTask, WorkItem
 from repro.runtime.trace import Tracer
@@ -41,6 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 GPU_KERNELS = ("custom", "cublas")
+
+#: the paper's per-node GPU parallelism (one M2090, 5 CUDA streams)
+_GPU_STREAMS = 5
+
+#: compute threads of a GPU or hybrid node: the paper keeps 6 of
+#: Titan's 16 cores back for data access and the dispatcher
+_HYBRID_CPU_THREADS = 10
 
 
 @dataclass
@@ -112,73 +118,46 @@ class _RankRow(NamedTuple):
 
 
 class ClusterSimulation:
-    """N hybrid nodes executing one ``Apply`` workload.
+    """N Titan nodes executing one ``Apply`` workload.
+
+    Every rank is a :data:`~repro.hardware.specs.TITAN_NODE` on the
+    default :class:`~repro.cluster.network.NetworkModel` with the
+    paper's per-node parallelism: 5 GPU streams, and 16 compute threads
+    in ``cpu`` mode or 10 otherwise (:attr:`cpu_threads`).
 
     Args:
         n_nodes: compute nodes in the partition.
         pmap: tree-node -> rank assignment (static load balancing).
         mode: "cpu", "gpu" or "hybrid" (per-batch optimal split).
         gpu_kernel: "custom" (the paper's fused kernel) or "cublas".
-        cpu_threads / gpu_streams: per-node compute parallelism.
         rank_reduction: enable the CPU-side optimisation.
-        node_spec: hardware of every node (defaults to Titan's).
-        network: interconnect model.
         flush_interval / max_batch_size: batching runtime knobs (the
             paper's measurements use 60-task computation batches).
-        stragglers: optional {rank: slowdown_factor} — those nodes run
-            their compute that many times slower (thermal throttling,
-            shared-service jitter; real Titan partitions had them).
         fault_injector: optional :class:`~repro.faults.injector.
-            FaultInjector` — its :class:`~repro.faults.models.GpuFailure`
-            models decide which ranks fall back to CPU-only dispatch,
-            :class:`~repro.faults.models.NodeCrash` models kill ranks
-            mid-run (requires ``recovery=``; the omniscient
-            redistribution path was removed), and message-loss/-delay
-            models are charged onto each rank's network drain.  The
-            injector also rides along into every rank's node runtime, so
-            transient GPU faults, PCIe degradations and stragglers fire
-            inside the batching pipeline.
-        retry_policy / gpu_timeout: per-rank resilience policies handed
-            to every node runtime (only meaningful with a fault
-            injector).
-        pipelined: run each node's batches through the concurrent
-            pipeline (default); ``False`` serialises batches per node.
-        adaptive: use the feedback-calibrated
-            :class:`~repro.runtime.dispatcher.AdaptiveDispatcher` on
-            every rank instead of the static cost model.
+            FaultInjector`.  A permanent
+            :class:`~repro.faults.models.GpuFailure` makes its rank
+            dispatch CPU-only; :class:`~repro.faults.models.NodeCrash`
+            faults require ``recovery=``; message faults are charged
+            onto each rank's network drain; a
+            :class:`~repro.faults.models.StragglerNode` slows its rank.
+            docs/FAULTS.md says which component charges which fault.
         recovery: optional :class:`~repro.recovery.protocol.
-            RecoveryConfig` — arms checkpoint/restart: when the injector
-            schedules :class:`~repro.faults.models.NodeCrash` faults,
-            every rank checkpoints per the config's policy and crashed
-            ranks recover in place (detect → restore → deterministic
-            replay).  Scheduled crashes *without* a recovery config
-            raise :class:`ClusterConfigError`.  On the static path an
-            armed config with no crashes scheduled costs nothing and
-            the run is bit-identical to an unarmed one; under
-            ``stealing=`` the checkpoint writes are always charged.
+            RecoveryConfig` arming checkpoint/restart: every rank
+            checkpoints per the config's policy and crashed ranks
+            recover in place (detect → restore → replay).  On the
+            static path an armed config with no crashes scheduled costs
+            nothing; under ``stealing=`` the writes are always charged.
         stealing: optional :class:`~repro.cluster.stealing.
-            StealingConfig` — replaces the fixed per-rank share with the
-            open work-stealing scheduling loop (:mod:`repro.cluster.
-            stealing`): the process map still decides *initial*
-            placement and accumulate destinations, but idle ranks steal
-            pending tasks from loaded ones over the network model.
-            ``StealingConfig(enabled=False)`` runs the same chunked
-            loop with stealing off (the fair static baseline).
-            Composes with ``fault_injector``/``recovery``: crashed
-            thieves re-home granted-but-unflushed tasks to their
-            victims through the migration ledger and replay rolled-back
-            work in place (see :mod:`repro.cluster.stealing`).
-        rank_tracers: optional {rank: Tracer} — each listed rank's node
-            runtime records its interval lanes and happens-before log
-            into the given tracer (recovery segments are offset-shifted
-            onto it), and the rank's network drain is appended as a
-            ``network`` lane event so critical-path analysis sees the
-            communication stage.
+            StealingConfig` replacing the fixed per-rank share with the
+            open work-stealing loop (:mod:`repro.cluster.stealing`); the
+            process map still decides initial placement and accumulate
+            destinations.
+        rank_tracers: optional {rank: Tracer} recording each listed
+            rank's interval lanes and happens-before log, plus its
+            network drain as a ``network`` lane event.
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            every rank publishes into (a cluster-wide aggregate view);
-            the simulation adds its own ``cluster.*`` metrics.  Both
-            observers are zero-cost when absent and perturb no
-            timelines when armed.
+            every rank publishes into, plus the ``cluster.*`` metrics.
+            Both observers perturb no timelines.
     """
 
     def __init__(
@@ -188,20 +167,10 @@ class ClusterSimulation:
         *,
         mode: str = "hybrid",
         gpu_kernel: str = "custom",
-        cpu_threads: int | None = None,
-        gpu_streams: int = 5,
-        data_threads: int = 2,
         rank_reduction: bool = False,
-        node_spec: NodeSpec = TITAN_NODE,
-        network: NetworkModel | None = None,
         flush_interval: float = 0.01,
         max_batch_size: int = 60,
-        stragglers: dict[int, float] | None = None,
         fault_injector: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        gpu_timeout: GpuBatchTimeout | None = None,
-        pipelined: bool = True,
-        adaptive: bool = False,
         recovery: RecoveryConfig | None = None,
         stealing: StealingConfig | None = None,
         rank_tracers: dict[int, Tracer] | None = None,
@@ -220,110 +189,70 @@ class ClusterSimulation:
         self.pmap = pmap
         self.mode = mode
         self.gpu_kernel_name = gpu_kernel
-        # paper defaults: CPU-only runs use all 16 cores; hybrid/GPU runs
-        # keep threads back for data access and the dispatcher
-        if cpu_threads is None:
-            cpu_threads = node_spec.cpu.cores if mode == "cpu" else 10
-        self.cpu_threads = cpu_threads
-        self.gpu_streams = gpu_streams
-        self.data_threads = data_threads
+        self.cpu_threads = (
+            TITAN_NODE.cpu.cores if mode == "cpu" else _HYBRID_CPU_THREADS
+        )
         self.rank_reduction = rank_reduction
-        self.node_spec = node_spec
-        self.network = network or NetworkModel()
+        self.network = NetworkModel()
         self.flush_interval = flush_interval
         self.max_batch_size = max_batch_size
-        self.stragglers = dict(stragglers or {})
-        if any(f <= 0 for f in self.stragglers.values()):
-            raise ClusterConfigError(
-                f"straggler slowdowns must be positive: {self.stragglers}"
-            )
         self.fault_injector = fault_injector
-        self.retry_policy = retry_policy
-        self.gpu_timeout = gpu_timeout
-        self.pipelined = pipelined
-        self.adaptive = adaptive
         self.recovery = recovery
         self.stealing = stealing
         self.rank_tracers = dict(rank_tracers or {})
         self.registry = registry
-        #: calibrated seconds/item per (slowdown, gpu_failed, batch size,
-        #: item cost fields); see :meth:`_calibrated_seconds`
+        #: calibrated seconds/item per (gpu_failed, batch size, item cost
+        #: fields); see :meth:`_calibrated_seconds`
         self._calibration: dict[tuple, float] = {}
 
     # -- runtime assembly --------------------------------------------------------
-
-    def _spec_for_rank(self, rank: int) -> NodeSpec:
-        slowdown = self.stragglers.get(rank)
-        if not slowdown or slowdown == 1.0:
-            return self.node_spec
-        cpu = replace(
-            self.node_spec.cpu,
-            mtxm_gflops_core=self.node_spec.cpu.mtxm_gflops_core / slowdown,
-        )
-        gpu = replace(
-            self.node_spec.gpu,
-            peak_dp_gflops=self.node_spec.gpu.peak_dp_gflops / slowdown,
-        )
-        return replace(self.node_spec, cpu=cpu, gpu=gpu)
 
     def _gpu_failed(self, rank: int) -> bool:
         inj = self.fault_injector
         return inj is not None and inj.gpu_permanently_failed(rank, 0.0)
 
-    def _make_runtime(
-        self,
-        rank: int = 0,
-        *,
-        attach_observers: bool = True,
-        charge_setup: bool = True,
-    ) -> NodeRuntime:
-        spec = self._spec_for_rank(rank)
+    def _make_runtime(self, rank: int = 0, *, pricing: bool = False) -> NodeRuntime:
+        """Rank ``rank``'s node runtime.
+
+        A ``pricing`` runtime prices stealing chunks and serving
+        batches: no observers, no set-up charge (buffers were pinned
+        when the node booted) and no fault injector, so a price depends
+        on the item shape and the rank's GPU state only, never on which
+        rank calibrated it first.  The stealing engine and the job
+        service charge stragglers on top of the price when the work
+        runs.
+        """
         mode = self.mode
-        gpu_failed = self._gpu_failed(rank)
-        if gpu_failed and mode in ("gpu", "hybrid"):
+        threads = self.cpu_threads
+        if mode != "cpu" and self._gpu_failed(rank):
+            # the fallback node has its full CPU available for compute
             mode = "cpu"
-        cpu_model = CpuModel(spec.cpu)
-        gpu_model = GpuModel(spec.gpu)
-        cpu_kernel = CpuMtxmKernel(cpu_model, rank_reduction=self.rank_reduction)
+            threads = TITAN_NODE.cpu.cores
+        cpu_kernel = CpuMtxmKernel(
+            CpuModel(TITAN_NODE.cpu), rank_reduction=self.rank_reduction
+        )
+        gpu_model = GpuModel(TITAN_NODE.gpu)
         if self.gpu_kernel_name == "custom":
             gpu_kernel = CustomGpuKernel(gpu_model)
         else:
             gpu_kernel = CublasKernel(gpu_model)
-        threads = self.cpu_threads
-        if gpu_failed and self.mode != "cpu":
-            # the fallback node has its full CPU available for compute
-            threads = spec.cpu.cores
-        if self.adaptive and mode == "hybrid":
-            dispatcher = AdaptiveDispatcher(
-                cpu_kernel,
-                gpu_kernel,
-                cpu_threads=threads,
-                gpu_streams=self.gpu_streams,
-            )
-        else:
-            dispatcher = HybridDispatcher(
-                cpu_kernel,
-                gpu_kernel,
-                cpu_threads=threads,
-                gpu_streams=self.gpu_streams,
-                mode=mode,
-            )
+        dispatcher = HybridDispatcher(
+            cpu_kernel,
+            gpu_kernel,
+            cpu_threads=threads,
+            gpu_streams=_GPU_STREAMS,
+            mode=mode,
+        )
         return NodeRuntime(
-            spec,
+            TITAN_NODE,
             dispatcher,
-            data_threads=self.data_threads,
             flush_interval=self.flush_interval,
             max_batch_size=self.max_batch_size,
-            charge_setup=charge_setup,
-            pipelined=self.pipelined,
-            fault_injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-            gpu_timeout=self.gpu_timeout,
+            charge_setup=not pricing,
+            fault_injector=None if pricing else self.fault_injector,
             rank=rank,
-            # the recovery protocol attaches offset-shifted observers
-            # itself, one per segment
-            tracer=self.rank_tracers.get(rank) if attach_observers else None,
-            registry=self.registry if attach_observers else None,
+            tracer=None if pricing else self.rank_tracers.get(rank),
+            registry=None if pricing else self.registry,
         )
 
     # -- the run ---------------------------------------------------------------------
@@ -362,15 +291,9 @@ class ClusterSimulation:
     def _chunk_seconds_runtime(
         self, rank: int, chunk: list[ClusterTask]
     ) -> float:
-        """Exact chunk cost: execute it on a fresh thief-side runtime.
-
-        The migrated tasks run on the *thief's* node runtime (its spec,
-        its dispatcher) — the tentpole contract; setup is not re-charged
-        per chunk (buffers were pinned when the node booted).
-        """
-        runtime = self._make_runtime(
-            rank, attach_observers=False, charge_setup=False
-        )
+        """Exact chunk cost: execute it on a fresh thief-side pricing
+        runtime (the migrated tasks run on the *thief's* node)."""
+        runtime = self._make_runtime(rank, pricing=True)
         return runtime.execute(
             [self._hybrid_task(t.item) for t in chunk]
         ).total_seconds
@@ -382,9 +305,9 @@ class ClusterSimulation:
     ) -> float:
         """Calibrated cost of ``items`` on ``rank``.
 
-        Per (node spec, batch size, item shape) the cost of one
+        Per (GPU state, batch size, item shape) the cost of one
         ``batch``-sized batch of the item is measured once on a fresh
-        :class:`NodeRuntime` and cached as seconds/item; ``items`` then
+        pricing runtime and cached as seconds/item; ``items`` then
         price as the sum of their calibrated costs.  The key is the
         item's cost fields, not its :class:`TaskKind`: one tree level
         mixes screened ranks (different ``steps``) under one kind, and
@@ -392,13 +315,11 @@ class ClusterSimulation:
         kinds.  Deterministic: the calibration run is itself a seeded
         simulation.
         """
-        slowdown = self.stragglers.get(rank, 1.0)
         gpu_failed = self._gpu_failed(rank)
         costs = self._calibration
         total = 0.0
         for item in items:
             key = (
-                slowdown,
                 gpu_failed,
                 batch,
                 item.flops,
@@ -412,9 +333,7 @@ class ClusterSimulation:
             )
             per_item = costs.get(key)
             if per_item is None:
-                runtime = self._make_runtime(
-                    rank, attach_observers=False, charge_setup=False
-                )
+                runtime = self._make_runtime(rank, pricing=True)
                 timeline = runtime.execute([self._hybrid_task(item)] * batch)
                 per_item = costs[key] = timeline.total_seconds / batch
             total += per_item
@@ -435,20 +354,14 @@ class ClusterSimulation:
         """Open-loop entry: run a job service against this cluster.
 
         ``requests`` is a list of :class:`repro.serve.arrivals.
-        JobRequest` (from any arrival process); ``config`` a
-        :class:`repro.serve.service.ServeConfig`.  The service prices
-        every dispatched batch through :meth:`serve_batch_seconds`
-        (this cluster's node specs, stragglers and failed GPUs) and —
-        when a :class:`~repro.serve.autoscaler.AutoscalerConfig` is
-        set — resizes the simulated rank pool beyond ``n_nodes``
-        (``_spec_for_rank`` prices any rank id).  This cluster's
-        ``fault_injector`` is threaded through the worker pool: node
-        crashes and GPU faults on serving ranks requeue the dead
-        batch's jobs (original deadlines kept, per-job retry budgets)
-        and the autoscaler replaces the lost capacity — see
-        docs/SERVING.md ("Fault tolerance").  Observers ride the
-        driver's slots: rank 0's tracer carries the serving ledger and
-        ``self.registry`` the ``serve.*`` metrics.
+        JobRequest`; ``config`` a :class:`repro.serve.service.
+        ServeConfig`.  The service prices every dispatched batch through
+        :meth:`serve_batch_seconds` (any rank id, so an autoscaler may
+        grow the pool beyond ``n_nodes``) and charges this cluster's
+        ``fault_injector`` per batch: crashes and GPU faults requeue the
+        batch's jobs, stragglers stretch it (docs/SERVING.md).  Rank 0's
+        tracer carries the serving ledger and ``self.registry`` the
+        ``serve.*`` metrics.
         """
         from repro.serve.service import JobService
 
@@ -525,11 +438,10 @@ class ClusterSimulation:
             restarts = 0
             if hybrid_tasks and crashes:
                 # every rank checkpoints once crashes are scheduled
-                # anywhere; crashed ranks restore and replay in place
+                # anywhere; crashed ranks restore and replay in place,
+                # each segment's runtime with offset-shifted observers
                 recovered = run_with_recovery(
-                    lambda r=rank: self._make_runtime(
-                        r, attach_observers=False
-                    ),
+                    lambda r=rank: self._make_runtime(r),
                     hybrid_tasks,
                     config=self.recovery,
                     rank=rank,

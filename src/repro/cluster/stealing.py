@@ -347,7 +347,9 @@ class StealingEngine:
         injector: optional :class:`~repro.faults.injector.FaultInjector`
             — its :class:`~repro.faults.models.NodeCrash` schedules kill
             ranks mid-run (requires ``recovery``); corruption draws key
-            the checkpoint lineage walk.
+            the checkpoint lineage walk; a
+            :class:`~repro.faults.models.StragglerNode` stretches each
+            chunk that starts in its window.
         recovery: optional :class:`~repro.recovery.protocol.
             RecoveryConfig` arming checkpoint/restart: per-rank snapshot
             lineages, crash detection, restore and ledger-aware replay.
@@ -597,6 +599,8 @@ class StealingEngine:
                     seconds = self.chunk_seconds(
                         rank, [task for _tid, task in chunk]
                     )
+                    if self.injector is not None:
+                        seconds *= self.injector.compute_slowdown(rank, start)
                     if seconds < 0:
                         raise ClusterConfigError(
                             f"negative chunk cost {seconds} on rank {rank}"

@@ -53,7 +53,6 @@ def make_runtime(
     rank_reduction: bool = False,
     flush_interval: float = 0.01,
     max_batch_size: int = 60,
-    data_threads: int = 2,
     naive_port: bool = False,
     pipelined: bool = True,
     adaptive: bool = False,
@@ -96,7 +95,6 @@ def make_runtime(
     return NodeRuntime(
         TITAN_NODE,
         dispatcher,
-        data_threads=data_threads,
         flush_interval=flush_interval,
         max_batch_size=max_batch_size,
         naive_port=naive_port,

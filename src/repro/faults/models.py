@@ -102,10 +102,10 @@ class PcieDegradation(FaultModel):
 class StragglerNode(FaultModel):
     """Compute on the node runs ``slowdown`` times slower in the window.
 
-    Unlike the cluster's static ``stragglers`` map (a permanently slow
-    node spec), this is a *windowed* slowdown on the simulated clock —
-    thermal throttling or shared-service jitter that comes and goes.
-    Applies to both CPU and GPU compute charges.
+    A *windowed* slowdown on the simulated clock — thermal throttling or
+    shared-service jitter that comes and goes (the default window makes
+    the node slow for the whole run).  Applies to both CPU and GPU
+    compute charges.
     """
 
     slowdown: float = 1.0

@@ -24,12 +24,6 @@ are still in flight; :meth:`commit_transfer` and :meth:`abort_transfer`
 land only such a ticket and raise, changing nothing, for any other —
 one already committed or aborted (even when its blocks have since been
 shipped again by another ticket) or one this cache never issued.
-
-Marking blocks resident at *lookup* time — the old single-phase
-:meth:`bytes_to_transfer`, kept for non-overlapping callers — is a
-TOCTOU race once transfers overlap: a second in-flight batch would see
-blocks as cached before they arrived.  The two-phase API is what the
-pipelined node runtime uses.
 """
 
 from __future__ import annotations
@@ -177,19 +171,3 @@ class GpuBlockCache:
         """
         self._land(ticket, "abort")
         self.stats.aborts += len(ticket.ship_keys)
-
-    # -- single-phase convenience (no overlapping transfers) --------------------
-
-    def bytes_to_transfer(
-        self, block_keys: Iterable[Hashable], bytes_per_block: float
-    ) -> int:
-        """Bytes of blocks a batch must ship; marks them resident at once.
-
-        This is the begin+commit pair collapsed to an instant — correct
-        only when transfers cannot overlap (the serialized runtime and
-        cost-model probes).  The pipelined runtime must use the
-        two-phase API instead.
-        """
-        ticket = self.begin_transfer(block_keys, bytes_per_block)
-        self.commit_transfer(ticket)
-        return ticket.bytes_to_ship

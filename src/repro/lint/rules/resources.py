@@ -139,7 +139,7 @@ class CacheBypassRule(Rule):
                         node,
                         f"direct mutation of .{func.value.attr}.{func.attr}() "
                         "bypasses the write-once capacity check; insert "
-                        "through bytes_to_transfer()",
+                        "through begin_transfer()/commit_transfer()",
                     )
                 continue
             for target in targets:
@@ -152,7 +152,7 @@ class CacheBypassRule(Rule):
                         target,
                         f"assignment to .{target.attr} bypasses the "
                         "write-once capacity check; insert through "
-                        "bytes_to_transfer()",
+                        "begin_transfer()/commit_transfer()",
                     )
 
 

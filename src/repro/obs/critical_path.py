@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.obs.dump import RunDump
-from repro.runtime.trace import TraceEvent
+from repro.runtime.trace import TraceEvent, union_length
 
 
 class CriticalPathError(ReproError, ValueError):
@@ -120,23 +120,6 @@ class CriticalPath:
         return max(self.makespan - self.breakdown.get(stage, 0.0), floor)
 
 
-def _union_length(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of possibly-overlapping intervals."""
-    covered = 0.0
-    cur_start: float | None = None
-    cur_end = 0.0
-    for start, end in sorted(intervals):
-        if cur_start is None or start > cur_end:
-            if cur_start is not None:
-                covered += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    if cur_start is not None:
-        covered += cur_end - cur_start
-    return covered
-
-
 def _sort_key(event: TraceEvent) -> tuple:
     return (event.end, event.start, event.category, event.label, event.batch)
 
@@ -213,7 +196,7 @@ def critical_path(
 
     stages = sorted({e.category for e in events})
     union_busy = {
-        stage: _union_length(
+        stage: union_length(
             [(e.start, e.end) for e in events if e.category == stage]
         )
         for stage in stages

@@ -24,6 +24,7 @@ and checkpointing).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -31,6 +32,25 @@ from repro.errors import ReproError
 
 class MetricsError(ReproError, ValueError):
     """An invalid metrics operation (bad name, type clash, bad merge)."""
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """The ``q``-th percentile of ``values`` (``0 <= q <= 100``), by
+    linear interpolation between order statistics — the latency
+    quantile estimator the serving layer reports p50/p95/p99 through.
+    No values report 0.0."""
+    if not 0.0 <= q <= 100.0:
+        raise MetricsError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    pos = (len(ordered) - 1) * (q / 100.0)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _deltas(samples: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -114,22 +134,9 @@ class Histogram:
         }
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile of the observed values (``0 <= q <=
-        100``), by linear interpolation between order statistics — the
-        latency quantile estimator the serving layer reports p50/p95/p99
-        through.  Empty histograms report 0.0."""
-        if not 0.0 <= q <= 100.0:
-            raise MetricsError(f"percentile q must be in [0, 100], got {q}")
-        values = sorted(v for _, v in self.samples)
-        if not values:
-            return 0.0
-        if len(values) == 1:
-            return values[0]
-        pos = (len(values) - 1) * (q / 100.0)
-        lo = int(pos)
-        hi = min(lo + 1, len(values) - 1)
-        frac = pos - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
+        """The ``q``-th percentile of the observed values (see
+        :func:`percentile`)."""
+        return percentile((v for _, v in self.samples), q)
 
     def percentiles(self, *qs: float) -> dict[str, float]:
         """Several percentiles at once, keyed ``"p50"``-style (integral

@@ -57,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> runtime)
 #: tasks whose preprocess is charged as one lump to keep event counts low
 _PRE_CHUNK = 32
 
+#: data-access threads sharing each pre-/postprocess charge
+_DATA_THREADS = 2
+
 #: dispatched batches admitted to the pipeline at once; batches beyond
 #: the window queue un-planned, so a calibrating dispatcher plans them
 #: with feedback from completed ones
@@ -135,7 +138,6 @@ class NodeRuntime:
         spec: NodeSpec,
         dispatcher: HybridDispatcher,
         *,
-        data_threads: int = 2,
         flush_interval: float = 0.01,
         max_batch_size: int = 60,
         charge_setup: bool = True,
@@ -179,13 +181,10 @@ class NodeRuntime:
         in-flight-batch gauge and stage-latency histograms are sampled
         on the simulated clock.  Publishing never changes the event
         schedule, so the timeline is identical with or without one."""
-        if data_threads < 1:
-            raise RuntimeConfigError(f"data_threads must be >= 1, got {data_threads}")
         self.spec = spec
         self.dispatcher = dispatcher
         self.cpu_model = CpuModel(spec.cpu)
         self.gpu_model = GpuModel(spec.gpu)
-        self.data_threads = data_threads
         self.naive_port = naive_port
         if naive_port:
             max_batch_size = 1
@@ -352,7 +351,7 @@ class NodeRuntime:
                 chunk = tasks[start : start + _PRE_CHUNK]
                 pre_bytes = sum(t.pre_bytes for t in chunk)
                 dt = self.cpu_model.data_seconds(pre_bytes, len(chunk))
-                dt /= self.data_threads
+                dt /= _DATA_THREADS
                 req = pools.data.request()
                 yield req
                 timeline.data_busy += dt
@@ -535,7 +534,7 @@ class NodeRuntime:
         # postprocess: accumulate results back into the tree (data threads)
         post_bytes = sum(it.output_bytes for it in batch.items)
         dt = self.cpu_model.data_seconds(post_bytes, len(batch.items))
-        dt /= self.data_threads
+        dt /= _DATA_THREADS
         req = pools.data.request()
         yield req
         timeline.data_busy += dt

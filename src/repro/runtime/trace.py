@@ -182,6 +182,23 @@ def log_records_from_jsonl(lines: Iterable[str]) -> Iterator[RuntimeLogRecord]:
         )
 
 
+def union_length(intervals: list[tuple[float, float]]) -> float:
+    """Total length of the union of possibly-overlapping intervals."""
+    covered = 0.0
+    cur_start: float | None = None
+    cur_end = 0.0
+    for start, end in sorted(intervals):
+        if cur_start is None or start > cur_end:
+            if cur_start is not None:
+                covered += cur_end - cur_start
+            cur_start, cur_end = start, end
+        else:
+            cur_end = max(cur_end, end)
+    if cur_start is not None:
+        covered += cur_end - cur_start
+    return covered
+
+
 @dataclass
 class Tracer:
     """Collects trace events during one runtime execution."""
@@ -481,20 +498,9 @@ class Tracer:
         total = end - start
         if total <= 0:
             return 0.0
-        intervals = sorted(
-            (e.start, e.end) for e in self.by_category(category)
+        covered = union_length(
+            [(e.start, e.end) for e in self.by_category(category)]
         )
-        covered = 0.0
-        cur_start = cur_end = None
-        for s, e in intervals:
-            if cur_end is None or s > cur_end:
-                if cur_end is not None:
-                    covered += cur_end - cur_start
-                cur_start, cur_end = s, e
-            else:
-                cur_end = max(cur_end, e)
-        if cur_end is not None:
-            covered += cur_end - cur_start
         return covered / total
 
 

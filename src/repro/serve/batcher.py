@@ -66,7 +66,6 @@ class CrossJobBatcher:
         self,
         *,
         max_batch_size: int,
-        cross_job: bool = True,
         fifo: bool = False,
     ):
         if max_batch_size < 1:
@@ -74,9 +73,6 @@ class CrossJobBatcher:
                 f"max batch size must be >= 1, got {max_batch_size}"
             )
         self.max_batch_size = max_batch_size
-        #: informational — job templates enforce the actual isolation by
-        #: salting kinds with the job id when cross-job batching is off
-        self.cross_job = cross_job
         self.fifo = fifo
         self._buckets: dict[str, deque[_Entry]] = {}
         self._seq = 0

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.runtime.events import Environment, Event
 from repro.runtime.trace import Tracer
 from repro.serve.admission import AdmissionConfig, AdmissionController
@@ -225,14 +225,7 @@ class ServeResult:
 
     def latency_percentile(self, q: float, slo: str | None = None) -> float:
         """The ``q``-th latency percentile (0.0 with no completions)."""
-        values = sorted(self.latencies(slo))
-        if not values:
-            return 0.0
-        pos = (len(values) - 1) * (q / 100.0)
-        lo = int(pos)
-        hi = min(lo + 1, len(values) - 1)
-        frac = pos - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
+        return percentile(self.latencies(slo), q)
 
     def per_tenant_counts(self) -> dict[int, dict[str, int]]:
         """Per-tenant arrived/admitted/completed/shed counts."""
@@ -351,7 +344,6 @@ class JobService:
         state = _State(self.n_ranks)
         batcher = CrossJobBatcher(
             max_batch_size=cfg.max_batch_size,
-            cross_job=cfg.cross_job_batching,
             fifo=cfg.fifo,
         )
         admission = (

@@ -11,39 +11,43 @@ from repro.operators.cache import CacheStats
 
 def test_first_transfer_ships_everything():
     cache = GpuBlockCache(1 << 20)
-    shipped = cache.bytes_to_transfer(["a", "b", "c"], 100.0)
-    assert shipped == 300
+    ticket = cache.begin_transfer(["a", "b", "c"], 100.0)
+    cache.commit_transfer(ticket)
+    assert ticket.bytes_to_ship == 300
     assert cache.resident_bytes == 300
     assert len(cache) == 3
 
 
 def test_second_transfer_is_free():
     cache = GpuBlockCache(1 << 20)
-    cache.bytes_to_transfer(["a", "b"], 100.0)
-    shipped = cache.bytes_to_transfer(["a", "b"], 100.0)
-    assert shipped == 0
+    cache.commit_transfer(cache.begin_transfer(["a", "b"], 100.0))
+    ticket = cache.begin_transfer(["a", "b"], 100.0)
+    cache.commit_transfer(ticket)
+    assert ticket.bytes_to_ship == 0
     assert cache.stats.hits == 2
 
 
 def test_partial_overlap():
     cache = GpuBlockCache(1 << 20)
-    cache.bytes_to_transfer(["a"], 100.0)
-    shipped = cache.bytes_to_transfer(["a", "b"], 100.0)
-    assert shipped == 100
+    cache.commit_transfer(cache.begin_transfer(["a"], 100.0))
+    ticket = cache.begin_transfer(["a", "b"], 100.0)
+    cache.commit_transfer(ticket)
+    assert ticket.bytes_to_ship == 100
     assert "b" in cache
 
 
 def test_duplicate_keys_in_one_batch_count_once():
     cache = GpuBlockCache(1 << 20)
-    shipped = cache.bytes_to_transfer(["a", "a", "a"], 100.0)
-    assert shipped == 100
+    ticket = cache.begin_transfer(["a", "a", "a"], 100.0)
+    cache.commit_transfer(ticket)
+    assert ticket.bytes_to_ship == 100
 
 
 def test_capacity_overflow_raises():
     cache = GpuBlockCache(250)
-    cache.bytes_to_transfer(["a", "b"], 100.0)
+    cache.commit_transfer(cache.begin_transfer(["a", "b"], 100.0))
     with pytest.raises(HardwareModelError):
-        cache.bytes_to_transfer(["c"], 100.0)
+        cache.begin_transfer(["c"], 100.0)
 
 
 def test_invalid_capacity():
@@ -109,10 +113,10 @@ def test_stats_count_unique_keys_consistently():
     """Regression: hits used to count per occurrence while misses counted
     per unique key, skewing every derived hit rate."""
     cache = GpuBlockCache(1 << 20)
-    cache.bytes_to_transfer(["a", "a", "b"], 100.0)
+    cache.commit_transfer(cache.begin_transfer(["a", "a", "b"], 100.0))
     assert cache.stats.misses == 2
     assert cache.stats.hits == 0
-    cache.bytes_to_transfer(["a", "b", "b", "c"], 100.0)
+    cache.commit_transfer(cache.begin_transfer(["a", "b", "b", "c"], 100.0))
     assert cache.stats.misses == 3
     assert cache.stats.hits == 2
     assert cache.stats.waits == 0

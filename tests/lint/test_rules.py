@@ -368,7 +368,7 @@ class TestSwallowedGuardError:
 
             def push(cache, keys, nbytes):
                 try:
-                    cache.bytes_to_transfer(keys, nbytes)
+                    cache.begin_transfer(keys, nbytes)
                 except HardwareModelError:
                     pass
             """,
@@ -404,7 +404,7 @@ class TestSwallowedGuardError:
 
             def push(cache, keys, nbytes, fallback):
                 try:
-                    return cache.bytes_to_transfer(keys, nbytes)
+                    return cache.begin_transfer(keys, nbytes)
                 except HardwareModelError:
                     return fallback(keys)
             """,
@@ -493,7 +493,7 @@ class TestCacheBypass:
             "runtime/ok.py",
             """
             def ship(cache, keys, nbytes):
-                return cache.bytes_to_transfer(keys, nbytes)
+                return cache.begin_transfer(keys, nbytes)
             """,
             select={"RES003"},
         )
