@@ -1,20 +1,10 @@
-"""Analysis utilities: overlap math, metrics and paper-style reports."""
+"""Analysis utilities: overlap math and paper-style reports."""
 
 from repro.analysis.overlap import OverlapAnalysis, analyze_overlap
-from repro.analysis.metrics import gflops, speedup, scaling_efficiency
-from repro.analysis.reporting import (
-    ReportTable,
-    batch_metrics_table,
-    calibration_table,
-)
+from repro.analysis.reporting import ReportTable
 
 __all__ = [
     "OverlapAnalysis",
     "analyze_overlap",
-    "gflops",
-    "speedup",
-    "scaling_efficiency",
     "ReportTable",
-    "batch_metrics_table",
-    "calibration_table",
 ]

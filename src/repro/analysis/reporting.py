@@ -4,24 +4,16 @@ Every benchmark prints a :class:`ReportTable` whose rows carry both the
 paper's published number and the simulation's measured one, so
 EXPERIMENTS.md can be assembled directly from benchmark output.
 
-:func:`calibration_table` and :func:`batch_metrics_table` turn the
-per-batch :class:`~repro.runtime.metrics.RuntimeMetrics` a run collects
-into the same table form, so pipeline overlap and dispatcher
-calibration can be inspected next to the paper tables;
-:func:`resilience_table` does the same for a cluster run's per-rank
-fault-handling story (degraded-mode spans, recovery probes,
-checkpoint/restart traffic).
+:func:`critical_path_table` and :func:`metrics_table` render what
+:mod:`repro.obs` measures of a run (its critical path and its
+:class:`~repro.obs.metrics.MetricsRegistry`) in the same table form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-
-if TYPE_CHECKING:  # avoid a runtime analysis -> runtime package cycle
-    from repro.runtime.metrics import RuntimeMetrics
 
 
 def _fmt(value) -> str:
@@ -83,116 +75,6 @@ class ReportTable:
     def print(self) -> None:  # noqa: A003 - deliberate, mirrors rich-style API
         """Render to stdout with surrounding blank lines."""
         print("\n" + self.render() + "\n")
-
-
-def batch_metrics_table(
-    metrics: "RuntimeMetrics", title: str = "Per-batch pipeline metrics"
-) -> ReportTable:
-    """One row per dispatched batch: split, stage times, cache outcome."""
-    table = ReportTable(
-        title=title,
-        columns=[
-            "batch", "kind", "items", "cpu", "gpu", "k_cpu",
-            "cpu ms", "xfer-in ms", "wait ms", "gpu ms", "xfer-out ms",
-            "ship/wait/hit",
-        ],
-    )
-    for b in metrics.batches:
-        table.add_row(
-            b.index,
-            b.kind,
-            b.n_items,
-            b.n_cpu_items,
-            b.n_gpu_items,
-            b.cpu_fraction,
-            b.measured_cpu_seconds * 1e3,
-            b.transfer_in_seconds * 1e3,
-            b.block_wait_seconds * 1e3,
-            b.measured_gpu_seconds * 1e3,
-            b.transfer_out_seconds * 1e3,
-            f"{b.blocks_shipped}/{b.blocks_waited}/{b.blocks_hit}",
-        )
-    c = metrics.counters
-    table.add_note(
-        f"{c['batches']} batches, {c['items']} items "
-        f"({c['cpu_items']} cpu / {c['gpu_items']} gpu); blocks "
-        f"shipped={c['blocks_shipped']} waited={c['blocks_waited']} "
-        f"hit={c['blocks_hit']}"
-    )
-    return table
-
-
-def calibration_table(
-    metrics: "RuntimeMetrics", title: str = "Dispatcher calibration"
-) -> ReportTable:
-    """Per-batch calibration state: scales in force, estimate accuracy."""
-    table = ReportTable(
-        title=title,
-        columns=[
-            "batch", "k_cpu", "cpu scale", "gpu scale",
-            "est cpu ms", "meas cpu ms", "est gpu ms", "meas gpu ms",
-        ],
-    )
-    for b in metrics.batches:
-        table.add_row(
-            b.index,
-            b.cpu_fraction,
-            b.cpu_scale,
-            b.gpu_scale,
-            b.est_cpu_seconds * 1e3,
-            b.measured_cpu_seconds * 1e3,
-            b.est_gpu_seconds * 1e3,
-            b.measured_gpu_side_seconds * 1e3,
-        )
-    cpu_err, gpu_err = metrics.estimate_error()
-    table.add_note(
-        f"mean |measured/estimate - 1|: cpu={cpu_err:.3f} gpu={gpu_err:.3f}"
-    )
-    return table
-
-
-def resilience_table(
-    node_results, title: str = "Per-rank resilience"
-) -> ReportTable:
-    """One row per rank: degraded-mode and checkpoint/restart outcome.
-
-    Takes the ``node_results`` of a :class:`~repro.cluster.simulation.
-    ClusterResult` and renders the fault-handling story of the run —
-    time each rank spent in CPU-only degraded mode, its recovery-probe
-    record (counters the node runtime folds into
-    :class:`~repro.runtime.metrics.RuntimeMetrics`), and its
-    checkpoint/restart traffic.
-    """
-    table = ReportTable(
-        title=title,
-        columns=[
-            "rank", "gpu faults", "degraded s", "probes", "probe ok",
-            "ckpts", "ckpt s", "restarts", "restores", "replayed",
-        ],
-    )
-    for r in node_results:
-        tl = r.timeline
-        counters = tl.metrics.counters if tl.metrics is not None else {}
-        table.add_row(
-            r.rank,
-            tl.n_gpu_faults,
-            tl.degraded_seconds,
-            counters.get("degraded_probes", 0),
-            counters.get("degraded_probe_successes", 0),
-            tl.n_checkpoints,
-            tl.checkpoint_seconds,
-            r.restarts,
-            tl.n_restores,
-            tl.n_replayed_items,
-        )
-    total_degraded = sum(r.timeline.degraded_seconds for r in node_results)
-    total_restarts = sum(r.restarts for r in node_results)
-    table.add_note(
-        f"cluster: {total_degraded * 1e3:.2f} ms degraded, "
-        f"{total_restarts} restart(s), "
-        f"{sum(r.timeline.n_checkpoints for r in node_results)} checkpoint(s)"
-    )
-    return table
 
 
 def critical_path_table(path, title: str = "Critical path") -> ReportTable:

@@ -207,14 +207,8 @@ def run_adaptive_ablation(scale: float = 1.0) -> ExperimentResult:
     )
     for label, adaptive, gpu_scale in configs:
         tl = runs[label]
-        final_k = (
-            tl.metrics.batches[-1].cpu_fraction if tl.metrics.batches else 0.0
-        )
-        final_scale = (
-            runs[label].metrics.batches[-1].gpu_scale
-            if tl.metrics.batches
-            else gpu_scale
-        )
+        final_k = tl.batches[-1].cpu_fraction if tl.batches else 0.0
+        final_scale = tl.batches[-1].gpu_scale if tl.batches else gpu_scale
         table.add_row(label, out[label], final_scale, final_k)
     return ExperimentResult(
         name="ablation-adaptive",
@@ -222,7 +216,7 @@ def run_adaptive_ablation(scale: float = 1.0) -> ExperimentResult:
         data={
             "times": out,
             "cpu_fractions": {
-                label: runs[label].metrics.cpu_fractions()
+                label: [b.cpu_fraction for b in runs[label].batches]
                 for label, _, _ in configs
             },
         },

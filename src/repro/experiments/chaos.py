@@ -91,6 +91,7 @@ def _run(n: int, *, rate: float, resilient: bool) -> tuple[float, dict]:
         "retries": timeline.n_retries,
         "fallback_items": timeline.n_fallback_items,
         "degraded_seconds": timeline.degraded_seconds,
+        "recoveries": degraded.recoveries,
     }
     return timeline.total_seconds, counters
 
@@ -116,6 +117,12 @@ def run_chaos_ablation(scale: float = 1.0) -> ExperimentResult:
     for rate in FAULT_RATES:
         resilient_s, rc = _run(n, rate=rate, resilient=True)
         naive_s, nc = _run(n, rate=rate, resilient=False)
+        if nc["recoveries"]:
+            raise SimulationError(
+                f"naive fail-to-CPU recovered {nc['recoveries']} time(s) "
+                f"at {rate:.0%} faults: its first degradation must be "
+                "permanent"
+            )
         table.add_row(
             f"{rate:.0%}", resilient_s, naive_s,
             rc["gpu_faults"], rc["retries"], rc["fallback_items"],

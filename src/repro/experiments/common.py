@@ -50,17 +50,14 @@ def make_runtime(
     cpu_threads: int = 10,
     gpu_streams: int = 5,
     gpu_kernel: str = "custom",
-    rank_reduction: bool = False,
     flush_interval: float = 0.01,
     max_batch_size: int = 60,
     naive_port: bool = False,
     pipelined: bool = True,
     adaptive: bool = False,
-    cpu_scale: float = 1.0,
     gpu_scale: float = 1.0,
     fault_injector=None,
     retry_policy=None,
-    gpu_timeout=None,
     degraded_mode=None,
     tracer=None,
     registry=None,
@@ -69,14 +66,13 @@ def make_runtime(
 
     ``adaptive=True`` swaps in the feedback-calibrated
     :class:`~repro.runtime.dispatcher.AdaptiveDispatcher` (only
-    meaningful with ``mode="hybrid"``); ``cpu_scale``/``gpu_scale`` set
-    its initial — possibly deliberately miscalibrated — cost-model
-    multipliers.  The ``fault_injector``/``retry_policy``/
-    ``gpu_timeout``/``degraded_mode`` knobs arm the :mod:`repro.faults`
-    resilience layer (chaos experiments); ``tracer``/``registry`` arm
+    meaningful with ``mode="hybrid"``); ``gpu_scale`` sets its initial —
+    possibly deliberately miscalibrated — GPU cost-model multiplier.
+    The ``fault_injector``/``retry_policy``/``degraded_mode`` knobs arm
+    the :mod:`repro.faults` resilience layer (chaos experiments); ``tracer``/``registry`` arm
     the :mod:`repro.obs` observers (profiling experiments).
     """
-    cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu), rank_reduction=rank_reduction)
+    cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
     gm = GpuModel(TITAN_NODE.gpu)
     gpu = CustomGpuKernel(gm) if gpu_kernel == "custom" else CublasKernel(gm)
     if adaptive:
@@ -85,7 +81,6 @@ def make_runtime(
             gpu,
             cpu_threads=cpu_threads,
             gpu_streams=gpu_streams,
-            cpu_scale=cpu_scale,
             gpu_scale=gpu_scale,
         )
     else:
@@ -101,7 +96,6 @@ def make_runtime(
         pipelined=pipelined,
         fault_injector=fault_injector,
         retry_policy=retry_policy,
-        gpu_timeout=gpu_timeout,
         degraded_mode=degraded_mode,
         tracer=tracer,
         registry=registry,

@@ -15,10 +15,9 @@ Three layers:
   faults registered every hook short-circuits and the happy path pays
   nothing;
 - :mod:`repro.faults.policies` — the resilience side: capped
-  exponential :class:`RetryPolicy` with deterministic jitter, the
-  per-batch :class:`GpuBatchTimeout` that re-plans work CPU-side, and
-  the :class:`DegradedModeController` hybrid→CPU-only state machine
-  with recovery probing.
+  exponential :class:`RetryPolicy` with deterministic jitter, and the
+  :class:`DegradedModeController` hybrid→CPU-only state machine with
+  recovery probing.
 
 See ``docs/FAULTS.md`` for the catalogue and guarantees.
 """
@@ -34,18 +33,13 @@ from repro.faults.models import (
     StragglerNode,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.policies import (
-    DegradedModeController,
-    GpuBatchTimeout,
-    RetryPolicy,
-)
+from repro.faults.policies import DegradedModeController, RetryPolicy
 
 __all__ = [
     "CheckpointCorruption",
     "DegradedModeController",
     "FaultInjector",
     "FaultModel",
-    "GpuBatchTimeout",
     "GpuFailure",
     "MessageDelay",
     "MessageLoss",

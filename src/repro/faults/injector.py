@@ -216,16 +216,6 @@ class FaultInjector:
                 return True
         return False
 
-    # -- installation -------------------------------------------------------------
-
-    def install(self, runtime) -> None:
-        """Attach this injector to a :class:`~repro.runtime.node.NodeRuntime`.
-
-        Equivalent to passing ``fault_injector=`` at construction; kept
-        as a method so experiments can arm an already-built runtime.
-        """
-        runtime.fault_injector = self
-
     def __repr__(self) -> str:
         return (
             f"FaultInjector(seed={self.seed}, "

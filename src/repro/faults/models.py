@@ -57,9 +57,9 @@ class GpuFailure(FaultModel):
     """The GPU faults batches: transiently at ``rate``, or permanently.
 
     A *transient* failure hits each dispatched GPU batch attempt inside
-    the window independently with probability ``rate`` (the batch stalls
-    until the timeout fires, produces nothing, and is retried per the
-    :class:`~repro.faults.policies.RetryPolicy`).  A *permanent* failure
+    the window independently with probability ``rate`` (the attempt
+    occupies its streams for its full compute time, produces nothing,
+    and is retried per the :class:`~repro.faults.policies.RetryPolicy`).  A *permanent* failure
     (``permanent=True``) fails every GPU batch from ``start`` onward —
     recovery probes keep failing, so a degraded node stays degraded.
     """

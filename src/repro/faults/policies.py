@@ -1,16 +1,12 @@
 """Resilience policies: what the runtime does when a fault fires.
 
-Three mechanisms, mirroring the task-replay shape of fault-tolerant
+Two mechanisms, mirroring the task-replay shape of fault-tolerant
 task runtimes (MADNESS's own replay design and the checkpoint/restart
 literature in PAPERS.md):
 
 - :class:`RetryPolicy` — capped exponential backoff with deterministic
   seeded jitter; a faulted GPU batch is requeued exactly once per
   attempt until the attempt budget runs out;
-- :class:`GpuBatchTimeout` — the watchdog: a stalled GPU batch is
-  *detected* after the timeout (the faulted attempt charges at most
-  that long), and a batch whose estimated GPU-side time already
-  exceeds the timeout is re-planned CPU-side up front;
 - :class:`DegradedModeController` — after ``fault_threshold``
   consecutive GPU faults the node flips from hybrid to CPU-only
   (graceful degradation) and probes the GPU every ``probe_interval``
@@ -19,7 +15,7 @@ literature in PAPERS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.models import FaultConfigError, uniform
 
@@ -83,25 +79,6 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
 
-@dataclass(frozen=True)
-class GpuBatchTimeout:
-    """Per-batch GPU watchdog.
-
-    ``timeout_seconds`` bounds how long a faulted (hung) GPU batch
-    occupies its stream before the runtime gives up on the attempt; a
-    batch whose *estimated* GPU-side time already exceeds the timeout
-    is re-planned CPU-side without being dispatched at all.
-    """
-
-    timeout_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds <= 0:
-            raise FaultConfigError(
-                f"timeout must be positive, got {self.timeout_seconds}"
-            )
-
-
 @dataclass
 class DegradedModeController:
     """Hybrid → CPU-only degradation with recovery probing.
@@ -111,6 +88,11 @@ class DegradedModeController:
         HEALTHY --k consecutive faults--> DEGRADED
         DEGRADED --probe_interval elapsed--> PROBE (next batch tries GPU)
         PROBE --success--> HEALTHY      PROBE --fault--> DEGRADED
+
+    A probe is a batch *planned* while the node is degraded, so each
+    GPU outcome arrives with its batch's plan instant.  A result from a
+    batch planned before the degradation (already on its way to the
+    GPU) neither recovers the node nor counts as a failed probe.
 
     ``probe_interval=None`` never probes: the first degradation is
     permanent (the naive fail-to-CPU baseline the chaos ablation
@@ -126,11 +108,9 @@ class DegradedModeController:
     degradations: int = 0
     recoveries: int = 0
     degraded_seconds: float = 0.0
-    #: recovery-probe outcomes (GPU attempts made while degraded); the
-    #: node runtime folds these into :class:`~repro.runtime.metrics.
-    #: RuntimeMetrics` so reports can show them per rank
+    #: GPU results of batches planned while degraded (a successful
+    #: probe is also a recovery)
     probes: int = 0
-    probe_successes: int = 0
 
     def __post_init__(self) -> None:
         if self.fault_threshold < 1:
@@ -147,26 +127,36 @@ class DegradedModeController:
         """Whether the node is currently in CPU-only degraded mode."""
         return self.degraded_since is not None
 
-    def record_fault(self, now: float) -> None:
-        """One GPU fault observed; may flip the node into degraded mode."""
+    def _is_probe(self, planned_at: float) -> bool:
+        """Whether a batch planned at ``planned_at`` probes the current
+        degradation.  Strictly later: a batch planned at the degradation
+        instant itself was planned before the flip, since a degraded node
+        sends nothing to the GPU until ``probe_interval`` has elapsed."""
+        since = self.degraded_since
+        return since is not None and planned_at > since
+
+    def record_fault(self, now: float, planned_at: float) -> None:
+        """One GPU fault observed on a batch planned at ``planned_at``;
+        may flip the node into degraded mode."""
         self.consecutive_faults += 1
         if self.degraded:
-            # a failed probe: stay degraded, restart the probe clock
-            self.probes += 1
-            self.last_probe_at = now
+            if self._is_probe(planned_at):
+                # a failed probe: stay degraded, restart the probe clock
+                self.probes += 1
+                self.last_probe_at = now
             return
         if self.consecutive_faults >= self.fault_threshold:
             self.degraded_since = now
             self.last_probe_at = now
             self.degradations += 1
 
-    def record_success(self, now: float) -> None:
-        """One GPU batch completed; recovers the node if it was degraded."""
+    def record_success(self, now: float, planned_at: float) -> None:
+        """One GPU batch planned at ``planned_at`` completed; recovers
+        the node if that batch was a probe."""
         self.consecutive_faults = 0
-        if self.degraded:
+        if self._is_probe(planned_at):
             # a successful probe: the node recovers to hybrid dispatch
             self.probes += 1
-            self.probe_successes += 1
             self.degraded_seconds += now - self.degraded_since
             self.degraded_since = None
             self.recoveries += 1

@@ -41,7 +41,6 @@ from repro.recovery.checkpoint import (
 )
 from repro.recovery.policy import CheckpointPolicy
 from repro.runtime.node import NodeTimeline
-from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.trace import OffsetTracer, Tracer
 
 
@@ -132,12 +131,11 @@ _SUMMED_FIELDS = (
 def _merge_timelines(segments: list[NodeTimeline], n_tasks: int,
                      total_seconds: float) -> NodeTimeline:
     """One whole-run timeline from the per-segment ones."""
-    merged = NodeTimeline(n_tasks=n_tasks, metrics=RuntimeMetrics())
+    merged = NodeTimeline(n_tasks=n_tasks)
     for seg in segments:
         for name in _SUMMED_FIELDS:
             setattr(merged, name, getattr(merged, name) + getattr(seg, name))
-        if seg.metrics is not None:
-            merged.metrics.merge_from(seg.metrics)
+        merged.batches.extend(seg.batches)
     merged.total_seconds = total_seconds
     return merged
 

@@ -41,8 +41,7 @@ _LAZY = {
     "overlap_time": "repro.runtime.dispatcher",
     "NodeRuntime": "repro.runtime.node",
     "NodeTimeline": "repro.runtime.node",
-    "BatchMetrics": "repro.runtime.metrics",
-    "RuntimeMetrics": "repro.runtime.metrics",
+    "BatchMetrics": "repro.runtime.node",
 }
 
 
@@ -82,5 +81,4 @@ __all__ = [
     "NodeRuntime",
     "NodeTimeline",
     "BatchMetrics",
-    "RuntimeMetrics",
 ]

@@ -33,11 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.policies import (
-    DegradedModeController,
-    GpuBatchTimeout,
-    RetryPolicy,
-)
+from repro.faults.policies import DegradedModeController, RetryPolicy
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import NodeSpec
@@ -47,7 +43,6 @@ from repro.runtime.batching import Batch, BatchAccumulator
 from repro.runtime.buffers import PinnedBufferPool, naive_transfer_plan
 from repro.runtime.dispatcher import HybridDispatcher
 from repro.runtime.events import AllOf, Environment, Event, Resource
-from repro.runtime.metrics import BatchMetrics, RuntimeMetrics
 from repro.runtime.task import BatchStats, HybridTask
 from repro.runtime.trace import Tracer
 
@@ -67,8 +62,71 @@ _ADMISSION_WINDOW = 4
 
 
 @dataclass
+class BatchMetrics:
+    """One completed batch: its planned split beside the measured
+    simulated durations of each pipeline stage.
+
+    The measured CPU and GPU-side times are the ``m`` and ``n`` a
+    calibrating dispatcher is fed back after the batch completes.
+
+    Attributes:
+        n_cpu_items / n_gpu_items: the planned split sizes.
+        cpu_fraction: work fraction the dispatcher sent to the CPU.
+        gpu_scale: the dispatcher's GPU calibration multiplier when the
+            batch was planned (1.0 for non-adaptive dispatchers).
+        measured_cpu_seconds: simulated service time of the CPU share.
+        transfer_in_seconds / transfer_out_seconds: PCIe charges.
+        block_wait_seconds: time spent waiting for operator blocks that
+            another batch had in flight (the write-once waiter path).
+        measured_gpu_seconds: simulated service time of the GPU kernel.
+        dispatched_at / completed_at: simulated instants bracketing the
+            batch's compute phases (postprocess excluded);
+            ``dispatched_at`` is the instant the batch was planned.
+        attempts: GPU attempts the batch took (1 = clean first try;
+            only fault injection produces more).
+        gpu_faults: injected GPU faults the batch absorbed.
+        retry_wait_seconds: backoff time spent between attempts.
+        fallback_items: GPU-planned items that ultimately ran on the
+            CPU (retry budget exhausted, or the node degraded).
+    """
+
+    n_cpu_items: int = 0
+    n_gpu_items: int = 0
+    cpu_fraction: float = 0.0
+    gpu_scale: float = 1.0
+    measured_cpu_seconds: float = 0.0
+    transfer_in_seconds: float = 0.0
+    transfer_out_seconds: float = 0.0
+    block_wait_seconds: float = 0.0
+    measured_gpu_seconds: float = 0.0
+    dispatched_at: float = 0.0
+    completed_at: float = 0.0
+    attempts: int = 1
+    gpu_faults: int = 0
+    retry_wait_seconds: float = 0.0
+    fallback_items: int = 0
+
+    @property
+    def measured_gpu_side_seconds(self) -> float:
+        """Everything the GPU share cost: transfers, waits and compute."""
+        return (
+            self.transfer_in_seconds
+            + self.block_wait_seconds
+            + self.measured_gpu_seconds
+            + self.transfer_out_seconds
+        )
+
+
+@dataclass
 class NodeTimeline:
-    """What happened on one node during an ``execute`` run."""
+    """What happened on one node during an ``execute`` run.
+
+    The plan-time totals (item split, estimates, bytes) are kept live
+    as batches are planned and as fallbacks move items to the CPU, so
+    they also count batches a crash cuts off.  The fault and block-wait
+    totals are summed from :attr:`batches`, the records of the batches
+    that completed, when the run ends.
+    """
 
     total_seconds: float = 0.0
     setup_seconds: float = 0.0
@@ -93,8 +151,8 @@ class NodeTimeline:
     est_cpu_only: float = 0.0  # sum over batches of m
     est_gpu_only: float = 0.0  # sum over batches of n
     results: list = field(default_factory=list)
-    #: per-batch estimate-vs-measured records of the run
-    metrics: RuntimeMetrics | None = None
+    #: one record per completed batch, in completion order
+    batches: list[BatchMetrics] = field(default_factory=list)
     #: fault-injection outcome (all zero on a clean run)
     n_gpu_faults: int = 0
     n_retries: int = 0
@@ -146,7 +204,6 @@ class NodeRuntime:
         tracer: "Tracer | None" = None,
         fault_injector: "FaultInjector | None" = None,
         retry_policy: "RetryPolicy | None" = None,
-        gpu_timeout: "GpuBatchTimeout | None" = None,
         degraded_mode: "DegradedModeController | None" = None,
         rank: int = 0,
         checkpointer=None,
@@ -162,12 +219,12 @@ class NodeRuntime:
 
         ``fault_injector`` arms the chaos hooks (GPU batch faults, PCIe
         degradation, compute slowdowns); faulted GPU batches are retried
-        per ``retry_policy`` (default :class:`RetryPolicy`), watched by
-        the optional ``gpu_timeout``, and repeated faults flip the node
-        to CPU-only through ``degraded_mode``.  With no injector — or an
-        injector with no faults registered — none of these paths run and
-        the timeline is bit-identical to a fault-free runtime.  ``rank``
-        identifies the node to per-rank fault models.
+        per ``retry_policy`` (default :class:`RetryPolicy`), and
+        repeated faults flip the node to CPU-only through
+        ``degraded_mode``.  With no injector — or an injector with no
+        faults registered — none of these paths run and the timeline is
+        bit-identical to a fault-free runtime.  ``rank`` identifies the
+        node to per-rank fault models.
 
         ``checkpointer`` (a :class:`~repro.recovery.checkpoint.
         Checkpointer`) arms checkpoint/restart: after each batch's
@@ -199,7 +256,6 @@ class NodeRuntime:
         self.tracer = tracer
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy()
-        self.gpu_timeout = gpu_timeout
         self.degraded_mode = degraded_mode
         self.rank = rank
         self.checkpointer = checkpointer
@@ -307,8 +363,7 @@ class NodeRuntime:
         self._chaos = (
             self.fault_injector is not None and self.fault_injector.active
         )
-        metrics = RuntimeMetrics()
-        timeline = NodeTimeline(n_tasks=len(tasks), metrics=metrics)
+        timeline = NodeTimeline(n_tasks=len(tasks))
         acc = BatchAccumulator(
             flush_interval=self.flush_interval, max_batch_size=self.max_batch_size
         )
@@ -332,15 +387,7 @@ class NodeRuntime:
                     env.now, batch.size
                 )
             done = env.process(
-                self._run_batch(
-                    env,
-                    batch,
-                    index,
-                    timeline,
-                    pools,
-                    inflight,
-                    metrics,
-                )
+                self._run_batch(env, batch, index, timeline, pools, inflight)
             )
             batch_events.append(done)
 
@@ -420,24 +467,15 @@ class NodeRuntime:
             else 0.0
         )
         timeline.pcie_busy = timeline.pcie_to_busy + timeline.pcie_from_busy
-        timeline.block_wait_seconds = metrics.total_block_wait_seconds()
-        timeline.n_gpu_faults = metrics.counters["gpu_faults"]
-        timeline.n_retries = metrics.counters["retries"]
-        timeline.n_fallback_items = metrics.counters["fallback_items"]
-        timeline.retry_wait_seconds = metrics.total_retry_wait_seconds()
+        batches = timeline.batches
+        timeline.block_wait_seconds = sum(b.block_wait_seconds for b in batches)
+        timeline.n_gpu_faults = sum(b.gpu_faults for b in batches)
+        timeline.n_retries = sum(b.attempts - 1 for b in batches)
+        timeline.n_fallback_items = sum(b.fallback_items for b in batches)
+        timeline.retry_wait_seconds = sum(b.retry_wait_seconds for b in batches)
         if self.degraded_mode is not None:
             self.degraded_mode.finish(env.now)
             timeline.degraded_seconds = self.degraded_mode.degraded_seconds
-            # lifetime probe bookkeeping, assigned (not added) so reruns
-            # sharing one controller report its current totals
-            metrics.counters["degraded_probes"] = self.degraded_mode.probes
-            metrics.counters["degraded_probe_successes"] = (
-                self.degraded_mode.probe_successes
-            )
-            metrics.counters["degradations"] = self.degraded_mode.degradations
-            metrics.counters["degraded_recoveries"] = (
-                self.degraded_mode.recoveries
-            )
         if acc.pending and not halted:
             raise RuntimeConfigError(
                 f"runtime finished with {acc.pending} unflushed items"
@@ -446,7 +484,7 @@ class NodeRuntime:
 
     # -- per-batch pipeline -----------------------------------------------------------
 
-    def _run_batch(self, env, batch, index, timeline, pools, inflight, metrics):
+    def _run_batch(self, env, batch, index, timeline, pools, inflight):
         # admission window: plan only once a pipeline slot frees, so a
         # calibrating dispatcher plans this batch with the feedback of
         # the batches that already completed
@@ -464,32 +502,18 @@ class NodeRuntime:
         timeline.n_cpu_items += len(plan.cpu_items)
         timeline.n_gpu_items += len(plan.gpu_items)
         rec = BatchMetrics(
-            index=index,
-            kind=str(batch.kind),
-            n_items=batch.size,
             n_cpu_items=len(plan.cpu_items),
             n_gpu_items=len(plan.gpu_items),
             cpu_fraction=plan.cpu_fraction,
-            est_cpu_seconds=plan.est_cpu_seconds,
-            est_gpu_seconds=plan.est_gpu_seconds,
-            cpu_scale=self.dispatcher.cpu_time_scale,
             gpu_scale=self.dispatcher.gpu_time_scale,
             dispatched_at=env.now,
         )
-        # the resilience layer may keep the GPU share on the host
-        gpu_on_host = False
-        if self._chaos and plan.gpu_items:
-            ctl = self.degraded_mode
-            if ctl is not None and ctl.degraded and not ctl.should_probe(env.now):
-                # graceful degradation: the GPU share never leaves the host
-                gpu_on_host = True
-                rec.degraded = True
-            elif self.gpu_timeout is not None:
-                # the watchdog would kill it anyway: re-plan CPU-side
-                est = self.dispatcher.gpu_share_seconds(
-                    plan.gpu_stats, self._transfer_estimate
-                )
-                gpu_on_host = est > self.gpu_timeout.timeout_seconds
+        # graceful degradation: a degraded node keeps the GPU share on
+        # the host unless this batch is due to probe the GPU
+        ctl = self.degraded_mode if self._chaos else None
+        gpu_on_host = (
+            ctl is not None and ctl.degraded and not ctl.should_probe(env.now)
+        )
         parts = []
         if plan.cpu_items:
             parts.append(
@@ -522,7 +546,7 @@ class NodeRuntime:
             yield AllOf(env, parts)
         pools.admit.release()
         rec.completed_at = env.now
-        metrics.record(rec)
+        timeline.batches.append(rec)
         if self.registry is not None:
             self.registry.gauge("runtime.inflight_batches").set(
                 env.now, pools.admit.in_use
@@ -640,10 +664,10 @@ class NodeRuntime:
         The share is either the batch's planned CPU share or, with
         ``fallback``, its GPU share replayed on the CPU — the
         re-execution path of the resilience layer: items whose GPU share
-        exhausted its retry budget, tripped the batch timeout, or
-        arrived while the node was degraded run here exactly once, and
-        the postprocess accumulate happens once per batch regardless of
-        how the compute share was (re)placed.
+        exhausted its retry budget or arrived while the node was
+        degraded run here exactly once, and the postprocess accumulate
+        happens once per batch regardless of how the compute share was
+        (re)placed.
         """
         seconds = self.dispatcher.cpu_share_seconds(stats)
         if self._chaos:
@@ -805,12 +829,14 @@ class NodeRuntime:
         """GPU compute: attempt → fault? → backoff → retry.
 
         Each attempt is an independent seeded trial; a faulted attempt
-        occupies its stream slots for at most the watchdog timeout (the
-        stall is only *detected* then), is logged as ``gpu_fault``, and
-        backs off per the retry policy before requeueing.  Returns True
-        when an attempt completed, False when the caller must replay the
-        share CPU-side.  Operator blocks were committed at transfer time,
-        so retries hit the write-once cache instead of re-shipping.  With
+        occupies its stream slots for the full compute time, is logged
+        as ``gpu_fault``, and backs off per the retry policy before
+        requeueing.  Each outcome reaches the degraded-mode controller
+        with the batch's plan instant, so only a batch planned while the
+        node was degraded counts as a probe.  Returns True when an
+        attempt completed, False when the caller must replay the share
+        CPU-side.  Operator blocks were committed at transfer time, so
+        retries hit the write-once cache instead of re-shipping.  With
         no faults registered the first attempt completes, and no
         injector, retry or degraded-mode code runs.
         """
@@ -826,8 +852,6 @@ class NodeRuntime:
                 faulted = inj.gpu_batch_fault(
                     self.rank, batch_index, attempt, env.now
                 )
-                if faulted and self.gpu_timeout is not None:
-                    seconds = min(seconds, self.gpu_timeout.timeout_seconds)
             label = f"{len(items)} items"
             if attempt:
                 label += f" [try {attempt + 1}]"
@@ -841,14 +865,14 @@ class NodeRuntime:
             if not faulted:
                 rec.measured_gpu_seconds = seconds
                 if ctl is not None:
-                    ctl.record_success(env.now)
+                    ctl.record_success(env.now, rec.dispatched_at)
                 return True
             rec.gpu_faults += 1
             self._log_gpu_fault(kind, env.now, attempt, batch_index)
             if self.registry is not None:
                 self.registry.counter("faults.gpu_faults").inc(env.now)
             if ctl is not None:
-                ctl.record_fault(env.now)
+                ctl.record_fault(env.now, rec.dispatched_at)
             attempt += 1
             if attempt >= self.retry_policy.max_attempts or (
                 ctl is not None and ctl.degraded

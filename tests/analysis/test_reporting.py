@@ -39,54 +39,3 @@ def test_float_formatting():
 def test_empty_table_renders():
     t = ReportTable("empty", ["a"])
     assert "empty" in t.render()
-
-
-def _metrics():
-    from repro.runtime.metrics import BatchMetrics, RuntimeMetrics
-
-    m = RuntimeMetrics()
-    m.record(
-        BatchMetrics(
-            index=0,
-            kind="integral_compute",
-            n_items=10,
-            n_cpu_items=4,
-            n_gpu_items=6,
-            cpu_fraction=0.4,
-            est_cpu_seconds=0.010,
-            est_gpu_seconds=0.020,
-            cpu_scale=1.0,
-            gpu_scale=2.0,
-            measured_cpu_seconds=0.012,
-            transfer_in_seconds=0.003,
-            transfer_out_seconds=0.001,
-            block_wait_seconds=0.002,
-            measured_gpu_seconds=0.008,
-            blocks_shipped=5,
-            blocks_waited=1,
-            blocks_hit=3,
-            dispatched_at=0.0,
-            completed_at=0.025,
-        )
-    )
-    return m
-
-
-def test_batch_metrics_table_renders_rows_and_counters():
-    from repro.analysis.reporting import batch_metrics_table
-
-    out = batch_metrics_table(_metrics()).render()
-    assert "Per-batch pipeline metrics" in out
-    assert "integral_compute" in out
-    assert "5/1/3" in out  # ship/wait/hit cache outcome
-    assert "1 batches" in out and "10 items" in out
-    assert "shipped=5 waited=1 hit=3" in out
-
-
-def test_calibration_table_shows_scales_and_error():
-    from repro.analysis.reporting import calibration_table
-
-    out = calibration_table(_metrics()).render()
-    assert "Dispatcher calibration" in out
-    assert "gpu scale" in out
-    assert "mean |measured/estimate - 1|" in out

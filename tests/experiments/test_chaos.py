@@ -38,6 +38,9 @@ def test_naive_abandons_gpu_after_first_fault(ablation):
     assert row["naive_counters"]["retries"] == 0
     assert row["naive_counters"]["fallback_items"] > 0
     assert row["naive_counters"]["degraded_seconds"] > 0
+    for rate in FAULT_RATES:
+        # the first degradation is permanent: nothing probes the GPU
+        assert ablation.data["rates"][rate]["naive_counters"]["recoveries"] == 0
 
 
 def test_table_renders_all_rates(ablation):

@@ -146,16 +146,6 @@ class TestCrashes:
         assert inj.crash_time(1) is None
 
 
-def test_install_sets_runtime_attribute():
-    class Dummy:
-        fault_injector = None
-
-    rt = Dummy()
-    inj = FaultInjector()
-    inj.install(rt)
-    assert rt.fault_injector is inj
-
-
 class TestZeroMessageQueries:
     """Satellite fix: a zero-message query must draw nothing — it can
     never perturb other seeded decisions (bit-identity pins it)."""

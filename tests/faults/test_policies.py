@@ -1,15 +1,11 @@
-"""Unit tests for retry, watchdog and degraded-mode policies."""
+"""Unit tests for the retry and degraded-mode policies."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faults.models import FaultConfigError
-from repro.faults.policies import (
-    DegradedModeController,
-    GpuBatchTimeout,
-    RetryPolicy,
-)
+from repro.faults.policies import DegradedModeController, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -47,57 +43,61 @@ class TestRetryPolicy:
             RetryPolicy(base_backoff=1.0, max_backoff=0.5)
 
 
-class TestGpuBatchTimeout:
-    def test_positive_only(self):
-        with pytest.raises(FaultConfigError):
-            GpuBatchTimeout(timeout_seconds=0.0)
-        assert GpuBatchTimeout(timeout_seconds=0.5).timeout_seconds == 0.5
-
-
 class TestDegradedMode:
     def test_flips_after_threshold(self):
         ctl = DegradedModeController(fault_threshold=3)
-        ctl.record_fault(1.0)
-        ctl.record_fault(2.0)
+        ctl.record_fault(1.0, planned_at=1.0)
+        ctl.record_fault(2.0, planned_at=2.0)
         assert not ctl.degraded
-        ctl.record_fault(3.0)
+        ctl.record_fault(3.0, planned_at=3.0)
         assert ctl.degraded
         assert ctl.degradations == 1
 
     def test_success_resets_streak(self):
         ctl = DegradedModeController(fault_threshold=2)
-        ctl.record_fault(1.0)
-        ctl.record_success(2.0)
-        ctl.record_fault(3.0)
+        ctl.record_fault(1.0, planned_at=1.0)
+        ctl.record_success(2.0, planned_at=2.0)
+        ctl.record_fault(3.0, planned_at=3.0)
         assert not ctl.degraded
 
     def test_probe_after_interval_and_recovery(self):
         ctl = DegradedModeController(fault_threshold=1, probe_interval=1.0)
-        ctl.record_fault(0.0)
+        ctl.record_fault(0.0, planned_at=0.0)
         assert ctl.degraded
         assert not ctl.should_probe(0.5)
         assert ctl.should_probe(1.0)
-        ctl.record_success(1.5)
+        ctl.record_success(1.5, planned_at=1.0)
         assert not ctl.degraded
         assert ctl.recoveries == 1
         assert ctl.degraded_seconds == pytest.approx(1.5)
 
     def test_failed_probe_restarts_clock(self):
         ctl = DegradedModeController(fault_threshold=1, probe_interval=1.0)
-        ctl.record_fault(0.0)
-        ctl.record_fault(1.0)  # failed probe
+        ctl.record_fault(0.0, planned_at=0.0)
+        # a batch planned before the flip is no probe: no clock restart
+        ctl.record_fault(0.5, planned_at=0.0)
+        assert ctl.probes == 0
+        assert ctl.should_probe(1.0)
+        ctl.record_fault(1.0, planned_at=1.0)  # failed probe
+        assert ctl.probes == 1
         assert ctl.degraded
         assert not ctl.should_probe(1.5)
         assert ctl.should_probe(2.0)
 
     def test_none_interval_never_probes(self):
         ctl = DegradedModeController(fault_threshold=1, probe_interval=None)
-        ctl.record_fault(0.0)
+        ctl.record_fault(1.0, planned_at=0.5)
         assert not ctl.should_probe(1e9)
+        # a success from a batch planned before the degradation is no
+        # probe: the node stays degraded
+        ctl.record_success(1.2, planned_at=0.8)
+        assert ctl.degraded
+        assert ctl.recoveries == 0
+        assert ctl.probes == 0
 
     def test_finish_accrues_open_span(self):
         ctl = DegradedModeController(fault_threshold=1)
-        ctl.record_fault(1.0)
+        ctl.record_fault(1.0, planned_at=1.0)
         ctl.finish(3.0)
         assert ctl.degraded_seconds == pytest.approx(2.0)
 

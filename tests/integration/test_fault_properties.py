@@ -1,11 +1,12 @@
 """Property tests: resilience preserves work under any fault schedule.
 
 Hypothesis drives randomized seeded fault schedules — transient GPU
-fault rates, failure windows, permanent failures, retry budgets,
-watchdogs and degraded-mode controllers — through a traced hybrid run
-and asserts the effectively-exactly-once contract: every submitted
-item is accumulated exactly once, no matter which faults fired, and
-the happens-before log stays violation-free.
+fault rates, failure windows, permanent failures, retry budgets and
+degraded-mode controllers — through a traced hybrid run and asserts
+the effectively-exactly-once contract: every submitted item is
+accumulated exactly once, no matter which faults fired, and the
+happens-before log stays violation-free.  The timeline's fault totals
+must be the sums of its per-batch records.
 """
 
 from __future__ import annotations
@@ -17,17 +18,25 @@ from hypothesis import strategies as st
 
 from repro.faults.injector import FaultInjector
 from repro.faults.models import GpuFailure, PcieDegradation, StragglerNode
-from repro.faults.policies import (
-    DegradedModeController,
-    GpuBatchTimeout,
-    RetryPolicy,
-)
+from repro.faults.policies import DegradedModeController, RetryPolicy
 from repro.lint.trace_check import verify_tracer
 from repro.runtime.trace import Tracer
 from tests.conftest import make_runtime
 from tests.runtime.test_node_runtime import make_tasks
 
 N_TASKS = 48
+
+
+def assert_totals_match_batches(tl) -> None:
+    """The five totals ``execute`` sums from ``tl.batches``, recomputed
+    with the same expressions (so float totals match bit for bit)."""
+    b = tl.batches
+    assert tl.n_gpu_faults == sum(r.gpu_faults for r in b)
+    assert tl.n_retries == sum(r.attempts - 1 for r in b)
+    assert tl.n_fallback_items == sum(r.fallback_items for r in b)
+    # same sum() in the same order: bit-identity IS the claim
+    assert tl.block_wait_seconds == sum(r.block_wait_seconds for r in b)
+    assert tl.retry_wait_seconds == sum(r.retry_wait_seconds for r in b)
 
 
 @st.composite
@@ -61,12 +70,11 @@ fault_lists = st.lists(
     seed=st.integers(0, 2**32 - 1),
     faults=fault_lists,
     max_attempts=st.integers(1, 4),
-    use_timeout=st.booleans(),
     use_degraded=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_any_fault_schedule_accumulates_each_item_exactly_once(
-    seed, faults, max_attempts, use_timeout, use_degraded
+    seed, faults, max_attempts, use_degraded
 ):
     tasks = make_tasks(N_TASKS)
     tracer = Tracer()
@@ -74,9 +82,6 @@ def test_any_fault_schedule_accumulates_each_item_exactly_once(
         "hybrid",
         fault_injector=FaultInjector(seed=seed, faults=faults),
         retry_policy=RetryPolicy(max_attempts=max_attempts, seed=seed),
-        gpu_timeout=GpuBatchTimeout(timeout_seconds=0.05)
-        if use_timeout
-        else None,
         degraded_mode=DegradedModeController(
             fault_threshold=2, probe_interval=0.01
         )
@@ -94,6 +99,13 @@ def test_any_fault_schedule_accumulates_each_item_exactly_once(
     assert set(accumulated) == submitted
     assert len(accumulated) == len(submitted)
     assert tl.n_cpu_items + tl.n_gpu_items == N_TASKS
+
+    # one account: the run's totals are the sums of its batch records
+    assert_totals_match_batches(tl)
+    # a fallback moves its items to the CPU in the records too
+    assert tl.n_cpu_items == sum(
+        b.n_cpu_items + b.fallback_items for b in tl.batches
+    )
 
     # the full happens-before + exactly-once contract
     verify_tracer(tracer)

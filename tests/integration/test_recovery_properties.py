@@ -30,6 +30,9 @@ from repro.recovery import (
 from repro.runtime.task import HybridTask
 from repro.runtime.trace import Tracer
 from tests.conftest import make_runtime
+from tests.integration.test_fault_properties import (
+    assert_totals_match_batches,
+)
 
 N_TASKS = 40
 COST = CheckpointCostModel(drain_gbps=4.0, restart_seconds=1e-4)
@@ -132,3 +135,10 @@ def test_any_schedule_accumulates_exactly_once(
     assert set(effective.values()) == {1}
     # the restart count is bounded by the schedule
     assert run.restarts <= len(faults)
+    # each segment's totals are its own batch records' sums, and the
+    # merged records are the segments' records in order
+    for segment in run.segments:
+        assert_totals_match_batches(segment)
+    assert run.timeline.batches == [
+        b for segment in run.segments for b in segment.batches
+    ]

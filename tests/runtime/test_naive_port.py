@@ -68,7 +68,7 @@ def test_naive_port_trace_records_each_gpu_kernel():
     rt.tracer = Tracer()
     tl = rt.execute(make_tasks(30))
     computes = [r for r in rt.tracer.log if r.op == "gpu_compute"]
-    gpu_batches = sum(1 for b in tl.metrics.batches if b.n_gpu_items)
+    gpu_batches = sum(1 for b in tl.batches if b.n_gpu_items)
     assert gpu_batches == 30
     assert len(computes) == gpu_batches
     assert all(r.ids == () for r in computes)

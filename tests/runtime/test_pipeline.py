@@ -73,7 +73,7 @@ def test_pipelined_results_match_serialized():
 def test_serialized_batches_do_not_overlap():
     tl = make_pipeline_runtime(pipelined=False).execute(mixed_tasks(40))
     spans = sorted(
-        (b.dispatched_at, b.completed_at) for b in tl.metrics.batches
+        (b.dispatched_at, b.completed_at) for b in tl.batches
     )
     for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
         assert next_start >= prev_end - 1e-12
@@ -82,7 +82,7 @@ def test_serialized_batches_do_not_overlap():
 def test_pipelined_batches_do_overlap():
     tl = make_pipeline_runtime(pipelined=True).execute(mixed_tasks(40))
     spans = sorted(
-        (b.dispatched_at, b.completed_at) for b in tl.metrics.batches
+        (b.dispatched_at, b.completed_at) for b in tl.batches
     )
     assert any(
         next_start < prev_end
@@ -115,14 +115,10 @@ def test_normalized_busy_never_exceeds_makespan():
 
 def test_metrics_recorded_per_batch():
     tl = make_pipeline_runtime().execute(mixed_tasks(40))
-    m = tl.metrics
-    assert m.n_batches == tl.n_batches
-    assert m.counters["items"] == 40
-    assert m.counters["cpu_items"] == tl.n_cpu_items
-    assert m.counters["gpu_items"] == tl.n_gpu_items
-    for b in m.batches:
+    assert len(tl.batches) == tl.n_batches
+    assert sum(b.n_cpu_items + b.n_gpu_items for b in tl.batches) == 40
+    for b in tl.batches:
         assert b.completed_at >= b.dispatched_at
-        assert b.n_cpu_items + b.n_gpu_items == b.n_items
 
 
 def test_runtime_feeds_adaptive_dispatcher():
@@ -150,5 +146,5 @@ def test_block_wait_seconds_accounted():
     tl = make_runtime("hybrid").execute(make_tasks(150))
     assert tl.block_wait_seconds >= 0.0
     assert tl.block_wait_seconds == pytest.approx(
-        sum(b.block_wait_seconds for b in tl.metrics.batches)
+        sum(b.block_wait_seconds for b in tl.batches)
     )
