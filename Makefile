@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests examples experiments-smoke
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs examples experiments-smoke
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins,
@@ -103,6 +103,34 @@ perf-pins:
 ## collects only tests/, so nothing else runs them; blocking in CI)
 perf-tests:
 	$(PYTHON) -m pytest perf -q
+
+## perf-pairs: judge a change against its parent on the benchmark:
+##   make perf-pairs PARENT=<parent checkout> [W=<workload>] [PAIRS=10] [SEED=<base>]
+## runs PAIRS alternating pairs of `perf/run.py` (odd pairs run the parent
+## first, even pairs the change); pair i runs seed SEED+i on both sides
+## and writes one --out report per run under PAIRS_DIR.  Stops on the
+## first failed run, then prints `perf/compare.py`'s verdict.  W unset
+## runs all four workloads.
+PAIRS ?= 10
+SEED ?= 1000
+PAIRS_DIR := /tmp/perf-pairs
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<parent checkout> [W=<workload>] [PAIRS=10] [SEED=<base>]"; exit 2; }
+	@rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)
+	@for i in $$(seq 1 $(PAIRS)); do \
+	    if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+	    for side in $$order; do \
+	        if [ $$side = parent ]; then dir="$(PARENT)"; else dir="$(CURDIR)"; fi; \
+	        out=$(PAIRS_DIR)/$$side-$$i; \
+	        echo "== pair $$i/$(PAIRS), seed $$(($(SEED) + i)): $$side"; \
+	        (cd "$$dir" && $(PYTHON) perf/run.py $(if $(W),--workload $(W)) \
+	            --seed $$(($(SEED) + i)) --out $$out.json > $$out.log 2>&1) \
+	            || { echo "$$side run of pair $$i failed; see $$out.log"; exit 1; }; \
+	    done; \
+	done
+	$(PYTHON) perf/compare.py \
+	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/parent-$$i.json; done) -- \
+	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/change-$$i.json; done)
 
 ## examples: run every script in examples/; fails on the first non-zero
 ## exit (blocking in CI)

@@ -203,16 +203,15 @@ def tasks_from_function(f, op) -> list[ClusterTask]:
         chat_norm = float(np.linalg.norm(node.coeffs))
         if chat_norm == 0.0:
             continue
-        disps = op.level_displacements(key.level)
-        tol_task = tol / max(1, len(disps))
-        for delta, opnorm in disps:
+        table = op.level_table(key.level)
+        tol_task = tol / max(1, len(table.pairs))
+        for (delta, opnorm), norms_mu in zip(table.pairs, table.terms):
             if opnorm * chat_norm < tol_task:
                 continue
             neighbor = key.neighbor(delta)
             if neighbor is None:
                 continue
             mu_tol = tol_task / (max(chat_norm, _NORM_FLOOR) * rank)
-            norms_mu = op.term_norms(key.level, delta, subtracted=key.level > 0)
             kept = int((norms_mu > mu_tol).sum())
             if kept == 0:
                 continue

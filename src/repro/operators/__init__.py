@@ -12,7 +12,11 @@ batched control flow (Algorithms 3-6) in
 """
 
 from repro.operators.gaussian_fit import GaussianExpansion, fit_inverse_r
-from repro.operators.blocks import gaussian_block_1d, ns_block_from_children
+from repro.operators.blocks import (
+    gaussian_block_1d,
+    gaussian_blocks_1d,
+    ns_block_from_children,
+)
 from repro.operators.displacements import displacement_ring, displacements_up_to
 from repro.operators.cache import OperatorBlockCache
 from repro.operators.convolution import (
@@ -31,6 +35,7 @@ __all__ = [
     "GaussianExpansion",
     "fit_inverse_r",
     "gaussian_block_1d",
+    "gaussian_blocks_1d",
     "ns_block_from_children",
     "displacement_ring",
     "displacements_up_to",

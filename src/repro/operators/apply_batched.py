@@ -4,6 +4,9 @@ The reference ``Apply`` walks the tree and computes each contribution
 inline.  This version restructures the same work for the batching
 runtime, exactly as the paper's Algorithm 3 does:
 
+- task generation (Algorithm 3 lines 1-6): screen every (source node,
+  displacement) pair of a level in one array expression against the
+  level's screening table, and emit tasks only for the survivors;
 - ``integral_preprocess`` (Algorithm 4): for one (source node,
   displacement) pair, look up the ``h`` operator matrices (from the
   operator's write-once CPU cache) and emit a batched work item;
@@ -32,6 +35,7 @@ import numpy as np
 from repro.errors import OperatorError
 from repro.mra.function import MultiresolutionFunction, scaling_corner
 from repro.mra.key import Key
+from repro.mra.node import FunctionNode
 from repro.mra.tree import FunctionTree
 from repro.operators.convolution import (
     ApplyStats,
@@ -71,33 +75,54 @@ class BatchedApply:
         ``source_log``, if given, receives the source tree key of every
         emitted task (same order) — the distributed Apply uses it to
         route tasks to their owner ranks.
+
+        Tasks are emitted node-major in ``by_level`` order, then in
+        displacement order.  A level's pairs are screened at once: first
+        the norm test (a failing pair counts as a screened displacement),
+        then the in-volume test (a failing pair is skipped uncounted),
+        then each survivor's rank terms.  A node is padded to its
+        ``(2k)^d`` tensor only when it emits a task.
         """
         op = self.op
-        tol = op.thresh
         corner = scaling_corner(op.dim, op.k)
-        tasks: list[HybridTask] = []
+        rank = max(1, op.expansion.rank)
+        by_level: dict[int, list[tuple[Key, FunctionNode]]] = {}
         for key, node in src.tree.by_level():
             if node.coeffs is None:
                 continue
             stats.source_nodes += 1
-            chat = op._combined(node)
-            cnorm = float(np.linalg.norm(chat))
-            if cnorm == 0.0:
+            by_level.setdefault(key.level, []).append((key, node))
+        tasks: list[HybridTask] = []
+        for level, group in by_level.items():
+            cnorms = np.sqrt([np.vdot(node.coeffs, node.coeffs) for _k, node in group])
+            nonzero = cnorms != 0.0
+            if not nonzero.any():
                 continue
-            disps = op.level_displacements(key.level)
-            tol_task = tol / max(1, len(disps))
-            for delta, opnorm in disps:
-                if opnorm * cnorm < tol_task:
-                    stats.screened_displacements += 1
-                    continue
-                neighbor = key.neighbor(delta)
-                if neighbor is None:
-                    continue
-                mu_tol = tol_task / (max(cnorm, _NORM_FLOOR) * max(1, op.expansion.rank))
-                norms_mu = op.term_norms(key.level, delta, subtracted=key.level > 0)
-                keep = np.nonzero(norms_mu > mu_tol)[0]
+            table = op.level_table(level)
+            tol_task = op.thresh / max(1, len(table.pairs))
+            screened = np.multiply.outer(cnorms, table.norms) < tol_task
+            screened &= nonzero[:, None]
+            stats.screened_displacements += int(screened.sum())
+            limit = 1 << level
+            survive = nonzero[:, None] & ~screened
+            translations = np.array([key.translation for key, _node in group])
+            for axis in range(op.dim):
+                moved = np.add.outer(translations[:, axis], table.offsets[:, axis])
+                survive &= (moved >= 0) & (moved < limit)
+            rows, cols = np.nonzero(survive)
+            mu_tol = tol_task / (np.maximum(cnorms, _NORM_FLOOR) * rank)
+            kept = table.terms[cols] > mu_tol[rows, None]
+            padded = -1
+            for i, j, keep_mask in zip(rows.tolist(), cols.tolist(), kept):
+                keep = np.nonzero(keep_mask)[0]
                 if keep.size == 0:
                     continue
+                key, node = group[i]
+                if padded != i:
+                    chat = op._combined(node)
+                    padded = i
+                delta = table.pairs[j][0]
+                neighbor = key.neighbor(delta)
                 stats.record_task(key.level)
                 stats.mu_applications += int(keep.size)
                 tasks.append(
@@ -143,8 +168,8 @@ class BatchedApply:
             (level, q, dim),
         )
         block_keys = tuple(
-            (level, delta[axis], int(mu), ns)
-            for mu in keep
+            (level, delta[axis], mu, ns)
+            for mu in keep.tolist()
             for axis in range(dim)
         )
         steps = int(keep.size) * dim

@@ -14,6 +14,13 @@ and the ``w`` quadrature window is clipped to the effective support of
 the Gaussian — this keeps the computation accurate for arbitrarily sharp
 kernels, which tensor-product quadrature would miss entirely.
 
+``gaussian_blocks_1d`` builds the blocks of many displacements and rank
+terms in one quadrature: every non-empty window of every
+``(delta, mu)`` pair is one row of a single stacked evaluation.  The
+operator fills its cache through it a ring of displacements at a time.
+``gaussian_block_1d`` computes one block on its own and is the oracle
+the batched path is tested against.
+
 ``ns_block_from_children`` assembles the ``(2k, 2k)`` nonstandard-form
 block at level ``n`` from the three level ``n+1`` blocks via the
 two-scale filter; its scaling corner reproduces ``R^{n,delta}`` exactly
@@ -92,6 +99,42 @@ def gaussian_block_1d(k: int, a: float, level: int, delta: int) -> np.ndarray:
         corr = phi_correlation(k, w_q)
         out += np.einsum("q,q,qij->ij", w_wt, gauss, corr)
     return out * 2.0 ** (-level)
+
+
+def gaussian_blocks_1d(
+    k: int, exponents: np.ndarray, level: int, deltas: list[int]
+) -> np.ndarray:
+    """The blocks ``R^{n,delta}`` of ``exp(-a_mu r^2)`` for every pair of
+    ``deltas`` and ``exponents``, as a ``(D, M, k, k)`` stack.
+
+    Each block uses :func:`gaussian_block_1d`'s windows and nodes: the
+    Gaussian's support is clipped to each unit piece of ``w``, an empty
+    window contributes zero, and a non-empty one gets ``_NW`` points.
+    All non-empty windows are evaluated in one stacked quadrature.
+    """
+    exponents = np.asarray(exponents, dtype=float)
+    if np.any(exponents <= 0):
+        raise OperatorError(f"Gaussian exponents must be positive, got {exponents}")
+    if level < 0:
+        raise OperatorError(f"negative level: {level}")
+    beta = exponents * 4.0 ** (-level)  # (M,)
+    halfwidth = _TAIL / np.sqrt(beta)
+    delta = np.asarray(deltas, dtype=float)  # (D,)
+    center = -delta
+    # window ends per (delta, mu, piece); the pieces are [-1, 0] and [0, 1]
+    wlo = np.maximum(np.subtract.outer(center, halfwidth)[..., None], [-1.0, 0.0])
+    whi = np.minimum(np.add.outer(center, halfwidth)[..., None], [0.0, 1.0])
+    live = whi > wlo
+    d_idx, m_idx, _piece = np.nonzero(live)
+    span = (whi - wlo)[live][:, None]  # (P, 1)
+    x, wt = gauss_legendre(_NW)
+    w_q = wlo[live][:, None] + span * x  # (P, _NW)
+    w_wt = span * wt
+    gauss = np.exp(-beta[m_idx][:, None] * (w_q + delta[d_idx][:, None]) ** 2)
+    corr = phi_correlation(k, w_q.ravel()).reshape(w_q.shape + (k, k))
+    pieces = np.zeros(live.shape + (k, k))
+    pieces[live] = np.einsum("pq,pq,pqij->pij", w_wt, gauss, corr)
+    return (pieces[:, :, 0] + pieces[:, :, 1]) * 2.0 ** (-level)
 
 
 def ns_block_from_children(

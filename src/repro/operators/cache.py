@@ -7,8 +7,9 @@ already transferred to the device, avoiding redundant PCIe traffic; the
 GPU variant (:class:`repro.kernels.gpu_cache.GpuBlockCache`) is modeled
 after this one, as the paper notes.
 
-Statistics (hits/misses/bytes) are first-class here because the transfer
-models consume them.
+Statistics (hits/misses/bytes) count every block built and every lookup
+served.  Nothing in the library reads them back: the benchmark's
+``operators.blocks.hit_rate`` and the tests do.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ class OperatorBlockCache:
         self._data[key] = entry
         self.stats.bytes_inserted += entry.nbytes
         return entry
+
+    def insert(self, key: Hashable, entry: np.ndarray) -> None:
+        """Store a block built outside :meth:`get_or_compute` (a bulk
+        fill), counted as the miss that built it.  Write-once: a key
+        already present keeps its entry."""
+        if key in self._data:
+            return
+        self.stats.misses += 1
+        self._data[key] = entry
+        self.stats.bytes_inserted += entry.nbytes
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data

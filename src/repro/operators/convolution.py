@@ -9,9 +9,13 @@ contributions down the tree.
 The operator acts in the *nonstandard form*: each tree node contributes
 through ``(2k, 2k)`` combined ``[s|d]`` blocks ``T^{n,delta}``, with the
 scaling->scaling part subtracted at every level but the coarsest (the
-telescoping that prevents double counting across scales).  The 2-D
-operator matrices are produced lazily per ``(level, displacement, mu)``
-and held in the write-once software cache the paper describes.
+telescoping that prevents double counting across scales).  The 1-D
+operator matrices are built a ring of displacements at a time, for every
+rank term in one quadrature, and held per ``(level, displacement, mu)``
+in the write-once software cache the paper describes.  Screening is
+obtained once per level (Algorithm 1): each ring's norm estimates are
+one array expression, and the level's table of displacements, norms and
+per-term norms is shared by every task at that level.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from repro.mra.key import Key
 from repro.mra.node import FunctionNode
 from repro.mra.tree import FunctionTree
 from repro.mra.twoscale import TwoScaleFilter
-from repro.operators.blocks import gaussian_block_1d, ns_block_from_children
+from repro.operators.blocks import gaussian_blocks_1d, ns_block_from_children
 from repro.operators.cache import OperatorBlockCache
-from repro.operators.displacements import displacement_ring
+from repro.operators.displacements import ring_offsets
 from repro.operators.gaussian_fit import GaussianExpansion, fit_inverse_r
 from repro.tensor.flops import add_flops, formula1_flops
 from repro.tensor.transform import transform
@@ -59,6 +63,22 @@ class ApplyStats:
         """Count one surviving (source node, displacement) task."""
         self.tasks += 1
         self.by_level[level] = self.by_level.get(level, 0) + 1
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """The significant displacements of one level, in ring order.
+
+    ``pairs`` is what :meth:`GaussianConvolution.level_displacements`
+    returns: ``(delta, norm)`` per displacement.  The arrays hold the
+    same rows: ``offsets`` ``(n, dim)``, ``norms`` ``(n,)`` and the
+    per-term norms ``terms`` ``(n, M)``.
+    """
+
+    pairs: list[tuple[tuple[int, ...], float]]
+    offsets: np.ndarray
+    norms: np.ndarray
+    terms: np.ndarray
 
 
 class GaussianConvolution:
@@ -91,8 +111,8 @@ class GaussianConvolution:
         self.filter = TwoScaleFilter.build(k)
         self.r_cache = OperatorBlockCache()
         self.ns_cache = OperatorBlockCache()
-        self._norm1d: dict[tuple[int, int, int], float] = {}
-        self._level_disps: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        self._norm1d: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._levels: dict[int, LevelTable] = {}
 
     # -- 1-D blocks -----------------------------------------------------------
 
@@ -104,11 +124,27 @@ class GaussianConvolution:
         """
         if delta < 0:
             return self.r_block(level, -delta, mu).T
-        a = float(self.expansion.exponents[mu])
         return self.r_cache.get_or_compute(
             (level, delta, mu),
-            lambda: gaussian_block_1d(self.k, a, level, delta),
+            lambda: gaussian_blocks_1d(
+                self.k, self.expansion.exponents[mu : mu + 1], level, [delta]
+            )[0, 0],
         )
+
+    def _fill_r(self, level: int, dabs: tuple[int, ...]) -> None:
+        """Build the missing blocks ``R^{level, d}`` (``d >= 0`` in ``dabs``)
+        of every rank term in one quadrature."""
+        rank = self.expansion.rank
+        missing = [
+            d for d in dict.fromkeys(dabs)
+            if any((level, d, mu) not in self.r_cache for mu in range(rank))
+        ]
+        if not missing:
+            return
+        stack = gaussian_blocks_1d(self.k, self.expansion.exponents, level, missing)
+        for d, blocks in zip(missing, stack):
+            for mu in range(rank):
+                self.r_cache.insert((level, d, mu), blocks[mu])
 
     def ns_block(self, level: int, delta: int, mu: int) -> np.ndarray:
         """Nonstandard ``(2k, 2k)`` block ``T^{n,delta}`` for term ``mu``."""
@@ -132,20 +168,22 @@ class GaussianConvolution:
         removed.  The coupling norm is what decays rapidly with distance
         (the wavelets' vanishing moments), and is the correct screening
         quantity for the telescoped operator.
+
+        The R blocks the NS blocks need, at ``(level + 1; 2|d| - 1, 2|d|,
+        2|d| + 1)`` and ``(level; |d|)``, are filled for every rank term
+        first; each norm is one stacked SVD over the rank.
         """
         key = (level, dabs)
         cached = self._norm1d.get(key)
         if cached is not None:
             return cached
-        rank = self.expansion.rank
-        n_full = np.empty(rank)
-        n_coup = np.empty(rank)
-        for mu in range(rank):
-            t = self.ns_block(level, dabs, mu)
-            n_full[mu] = np.linalg.norm(t, 2)
-            td = t.copy()
-            td[: self.k, : self.k] -= self.r_block(level, dabs, mu)
-            n_coup[mu] = np.linalg.norm(td, 2)
+        self._fill_r(level + 1, (abs(2 * dabs - 1), 2 * dabs, 2 * dabs + 1))
+        self._fill_r(level, (dabs,))
+        terms = range(self.expansion.rank)
+        t = np.stack([self.ns_block(level, dabs, mu) for mu in terms])
+        n_full = np.linalg.norm(t, 2, axis=(1, 2))
+        t[:, : self.k, : self.k] -= np.stack([self.r_block(level, dabs, mu) for mu in terms])
+        n_coup = np.linalg.norm(t, 2, axis=(1, 2))
         self._norm1d[key] = (n_full, n_coup)
         return n_full, n_coup
 
@@ -159,21 +197,33 @@ class GaussianConvolution:
         ``(x)T - (x)embed(R)`` the bound follows from the telescoping
         identity: ``sum_i ||T_i - embed(R_i)|| * prod_{j != i} ||T_j||``.
         """
-        full = [self._norms_1d(level, abs(d))[0] for d in delta]
+        return self._terms(level, np.array([delta]), subtracted=subtracted)[0]
+
+    def _terms(
+        self, level: int, offsets: np.ndarray, *, subtracted: bool
+    ) -> np.ndarray:
+        """:meth:`term_norms` of every displacement row of ``offsets``
+        ``(n, dim)`` at once, as an ``(n, M)`` array."""
+        dabs = np.abs(offsets).T
+        rank = self.expansion.rank
+        full = np.zeros((int(dabs.max()) + 1, rank))
+        coup = np.zeros_like(full)
+        for d in np.unique(dabs).tolist():
+            full[d], coup[d] = self._norms_1d(level, d)
+        coeffs = np.abs(self.expansion.coeffs)
         if not subtracted:
-            out = np.abs(self.expansion.coeffs).copy()
-            for nf in full:
-                out = out * nf
+            out = coeffs
+            for d in dabs:
+                out = out * full[d]
             return out
-        coup = [self._norms_1d(level, abs(d))[1] for d in delta]
-        total = np.zeros(self.expansion.rank)
-        for i in range(len(delta)):
-            term = coup[i].copy()
-            for j in range(len(delta)):
+        total = np.zeros((dabs.shape[1], rank))
+        for i in range(len(dabs)):
+            term = coup[dabs[i]]
+            for j in range(len(dabs)):
                 if j != i:
-                    term = term * full[j]
+                    term = term * full[dabs[j]]
             total += term
-        return np.abs(self.expansion.coeffs) * total
+        return coeffs * total
 
     def operator_norm(
         self, level: int, delta: tuple[int, ...], *, subtracted: bool
@@ -192,23 +242,34 @@ class GaussianConvolution:
         level and shared by all tasks — it is the MADNESS "obtain
         displacements" step of Algorithm 1.
         """
-        cached = self._level_disps.get(level)
+        return self.level_table(level).pairs
+
+    def level_table(self, level: int) -> LevelTable:
+        """The cached screening table behind :meth:`level_displacements`:
+        each ring's :meth:`term_norms` are one array expression."""
+        cached = self._levels.get(level)
         if cached is not None:
             return cached
         floor = self.thresh * 1e-3
-        subtracted = level > 0
-        out: list[tuple[tuple[int, ...], float]] = []
+        rings: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for radius in range(self.max_radius + 1):
-            ring = []
-            for delta in displacement_ring(self.dim, radius):
-                norm = self.operator_norm(level, delta, subtracted=subtracted)
-                if norm > floor:
-                    ring.append((delta, norm))
-            if radius > 0 and not ring:
+            offsets = ring_offsets(self.dim, radius)
+            terms = self._terms(level, offsets, subtracted=level > 0)
+            norms = terms.sum(axis=1)
+            live = norms > floor
+            if radius > 0 and not live.any():
                 break
-            out.extend(ring)
-        self._level_disps[level] = out
-        return out
+            rings.append((offsets[live], norms[live], terms[live]))
+        offsets = np.concatenate([r[0] for r in rings])
+        norms = np.concatenate([r[1] for r in rings])
+        table = LevelTable(
+            pairs=list(zip(map(tuple, offsets.tolist()), norms.tolist())),
+            offsets=offsets,
+            norms=norms,
+            terms=np.concatenate([r[2] for r in rings]),
+        )
+        self._levels[level] = table
+        return table
 
     # -- the integral kernel (Formula 1) -------------------------------------------
 
@@ -292,10 +353,10 @@ class GaussianConvolution:
             keys = [key for key, _c in group]
             chats = np.stack([c for _k, c in group])
             cnorms = np.linalg.norm(chats.reshape(len(group), -1), axis=1)
-            disps = self.level_displacements(level)
-            tol_task = tol / max(1, len(disps))
+            table = self.level_table(level)
+            tol_task = tol / max(1, len(table.pairs))
             subtract = level > 0
-            for delta, opnorm in disps:
+            for (delta, opnorm), norms_mu in zip(table.pairs, table.terms):
                 selected: list[int] = []
                 neighbors: list[Key] = []
                 for i, key in enumerate(keys):
@@ -312,7 +373,6 @@ class GaussianConvolution:
                 batch = chats[selected]
                 cmax = float(cnorms[selected].max())
                 mu_tol = tol_task / (max(cmax, _NORM_FLOOR) * rank)
-                norms_mu = self.term_norms(level, delta, subtracted=subtract)
                 keep = np.nonzero(norms_mu > mu_tol)[0]
                 if keep.size == 0:
                     continue

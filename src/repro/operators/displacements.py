@@ -10,8 +10,10 @@ first all-negligible ring — this per-task variability is the
 
 from __future__ import annotations
 
-import itertools
+import functools
 from collections.abc import Iterator
+
+import numpy as np
 
 
 def displacement_ring(dim: int, radius: int) -> Iterator[tuple[int, ...]]:
@@ -20,14 +22,19 @@ def displacement_ring(dim: int, radius: int) -> Iterator[tuple[int, ...]]:
     Ring 0 is the single zero displacement.  Vectors within a ring are
     produced in deterministic lexicographic order.
     """
+    return map(tuple, ring_offsets(dim, radius).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def ring_offsets(dim: int, radius: int) -> np.ndarray:
+    """:func:`displacement_ring` as a read-only ``(n, dim)`` integer array
+    (cached per ``(dim, radius)``)."""
     if radius < 0:
         raise ValueError(f"ring radius must be >= 0, got {radius}")
-    if radius == 0:
-        yield (0,) * dim
-        return
-    for vec in itertools.product(range(-radius, radius + 1), repeat=dim):
-        if max(abs(c) for c in vec) == radius:
-            yield vec
+    grid = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T - radius
+    ring = grid[np.abs(grid).max(axis=1) == radius]
+    ring.flags.writeable = False
+    return ring
 
 
 def displacements_up_to(dim: int, max_radius: int) -> list[tuple[int, ...]]:

@@ -49,3 +49,13 @@ def test_clear_resets():
     cache.clear()
     assert len(cache) == 0
     assert cache.stats.accesses == 0
+
+
+def test_insert_counts_a_miss_and_is_write_once():
+    cache = OperatorBlockCache()
+    block = np.ones((3, 3))
+    cache.insert("k", block)
+    cache.insert("k", np.zeros((3, 3)))
+    assert cache.get_or_compute("k", lambda: np.zeros((3, 3))) is block
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+    assert cache.stats.bytes_inserted == block.nbytes

@@ -1,10 +1,13 @@
 """Tests for displacement ring enumeration."""
 
+import itertools
+
 import pytest
 
 from repro.operators.displacements import (
     displacement_ring,
     displacements_up_to,
+    ring_offsets,
     ring_sizes,
 )
 
@@ -44,3 +47,17 @@ def test_up_to_orders_by_ring():
     disps = displacements_up_to(2, 2)
     radii = [max(abs(c) for c in d) for d in disps]
     assert radii == sorted(radii)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 4, 8])
+def test_ring_offsets_match_lexicographic_enumeration(dim, radius):
+    expected = [
+        vec
+        for vec in itertools.product(range(-radius, radius + 1), repeat=dim)
+        if max(abs(c) for c in vec) == radius
+    ]
+    offsets = ring_offsets(dim, radius)
+    assert [tuple(row) for row in offsets.tolist()] == expected
+    assert list(displacement_ring(dim, radius)) == expected
+    assert not offsets.flags.writeable

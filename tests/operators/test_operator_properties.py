@@ -1,12 +1,18 @@
 """Property-based tests of the operator-block machinery."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import OperatorError
 from repro.mra.quadrature import gauss_legendre, phi_values
 from repro.mra.twoscale import TwoScaleFilter
-from repro.operators.blocks import gaussian_block_1d, ns_block_from_children
+from repro.operators.blocks import (
+    gaussian_block_1d,
+    gaussian_blocks_1d,
+    ns_block_from_children,
+)
 from repro.operators.gaussian_fit import fit_inverse_r
 
 exponents = st.floats(0.5, 1e6)
@@ -76,3 +82,47 @@ def test_inverse_r_fit_accuracy_property(eps, r_lo):
     fit = fit_inverse_r(eps, r_lo)
     err = fit.max_relative_error(lambda r: 1.0 / r, r_lo, np.sqrt(3.0))
     assert err < 50 * eps
+
+
+#: exponents log-uniform over 1e-7..1e9: at levels 0..10 and deltas up to
+#: 20 the Gaussian's window on a unit piece is full, clipped or empty
+wide_exponents = st.lists(
+    st.floats(-7.0, 9.0).map(lambda e: 10.0**e), min_size=1, max_size=4
+)
+wide_deltas = st.lists(st.integers(-20, 20), min_size=1, max_size=4)
+
+
+@given(st.integers(1, 10), wide_exponents, st.integers(0, 10), wide_deltas)
+# full (a=1), clipped (a=1e6, delta 0) and empty (a=1e6, delta 5) windows
+@example(4, [1.0, 1e6], 0, [0, 5])
+@settings(max_examples=60, deadline=None)
+def test_batched_blocks_match_per_block_oracle(k, exps, level, deltas):
+    """Every block of the stacked quadrature lies within 1e-12 of its
+    largest entry of the one-block oracle."""
+    stack = gaussian_blocks_1d(k, np.array(exps), level, deltas)
+    assert stack.shape == (len(deltas), len(exps), k, k)
+    for i, delta in enumerate(deltas):
+        for mu, a in enumerate(exps):
+            oracle = gaussian_block_1d(k, a, level, delta)
+            scale = float(np.abs(oracle).max())
+            assert np.abs(stack[i, mu] - oracle).max() <= 1e-12 * scale
+
+
+@given(
+    st.integers(1, 10),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.integers(-5, 5),
+    wide_deltas,
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_blocks_reject_what_the_oracle_rejects(k, bad_a, level, deltas):
+    """A non-positive exponent or a negative level raises on both paths."""
+    with pytest.raises(OperatorError):
+        gaussian_block_1d(k, bad_a, abs(level), deltas[0])
+    with pytest.raises(OperatorError):
+        gaussian_blocks_1d(k, np.array([1.0, bad_a]), abs(level), deltas)
+    if level < 0:
+        with pytest.raises(OperatorError):
+            gaussian_block_1d(k, 1.0, level, deltas[0])
+        with pytest.raises(OperatorError):
+            gaussian_blocks_1d(k, np.array([1.0]), level, deltas)
