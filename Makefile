@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs examples experiments-smoke
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins,
@@ -131,6 +131,34 @@ perf-pairs:
 	$(PYTHON) perf/compare.py \
 	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/parent-$$i.json; done) -- \
 	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/change-$$i.json; done)
+
+## same-outputs: check that a change keeps its parent's outputs:
+##   make same-outputs PARENT=<parent checkout>
+## runs `python -m repro.experiments all --scale 0.02` and every
+## examples/*.py of the working tree, in the parent checkout and in the
+## working tree; drops the `regenerated in` timing lines and fails on
+## any difference.  Each side's stdout lands under SAME_DIR.
+SAME_DIR := /tmp/same-outputs
+same-outputs:
+	@test -n "$(PARENT)" || { echo "usage: make same-outputs PARENT=<parent checkout>"; exit 2; }
+	@rm -rf $(SAME_DIR) && mkdir -p $(SAME_DIR)/parent $(SAME_DIR)/change
+	@for side in parent change; do \
+	    if [ $$side = parent ]; then dir="$(PARENT)"; else dir="$(CURDIR)"; fi; \
+	    out=$(SAME_DIR)/$$side; \
+	    echo "== $$side: experiments all --scale 0.02"; \
+	    (cd "$$dir" && $(PYTHON) -m repro.experiments all --scale 0.02 > $$out/experiments.raw) \
+	        || { echo "$$side experiments failed"; exit 1; }; \
+	    for f in examples/*.py; do \
+	        name=$$(basename $$f .py); \
+	        echo "== $$side: $$f"; \
+	        (cd "$$dir" && $(PYTHON) $$f > $$out/$$name.raw) \
+	            || { echo "$$side $$f failed"; exit 1; }; \
+	    done; \
+	    for raw in $$out/*.raw; do \
+	        grep -v 'regenerated in' $$raw > $${raw%.raw}.txt; rm $$raw; \
+	    done; \
+	done
+	diff -r $(SAME_DIR)/parent $(SAME_DIR)/change && echo "same outputs"
 
 ## examples: run every script in examples/; fails on the first non-zero
 ## exit (blocking in CI)

@@ -37,6 +37,19 @@ NONSTANDARD = "nonstandard"
 #: truncate_tol modes, mirroring MADNESS truncate_mode 0/1/2.
 TRUNCATE_MODES = ("absolute", "level", "level_volume")
 
+#: boxes whose quadrature points one call of the projected function
+#: receives; bounds the point array and the function's temporaries
+_CHUNK_BOXES = 512
+
+
+def truncate_tol(thresh: float, mode: str, dim: int, level: int) -> float:
+    """Level-dependent truncation threshold (MADNESS truncate modes)."""
+    if mode == "absolute":
+        return thresh
+    if mode == "level":
+        return thresh * 2.0 ** (-level / 2.0)
+    return thresh * 2.0 ** (-level * dim / 2.0)
+
 
 def child_block(bits: tuple[int, ...], k: int) -> tuple[slice, ...]:
     """Slices selecting child ``bits``'s block inside a ``(2k)^d`` tensor."""
@@ -94,12 +107,8 @@ class MultiresolutionFunction:
 
     def truncate_tol(self, level: int, tol: float | None = None) -> float:
         """Level-dependent truncation threshold (MADNESS truncate modes)."""
-        t = self.thresh if tol is None else tol
-        if self.truncate_mode == "absolute":
-            return t
-        if self.truncate_mode == "level":
-            return t * 2.0 ** (-level / 2.0)
-        return t * 2.0 ** (-level * self.dim / 2.0)
+        thresh = self.thresh if tol is None else tol
+        return truncate_tol(thresh, self.truncate_mode, self.dim, level)
 
     # -- form changes ---------------------------------------------------------
 
@@ -418,6 +427,11 @@ class MultiresolutionFunction:
 class FunctionFactory:
     """Adaptive projection of callables into multiresolution functions.
 
+    The callable ``f`` is vectorised: it receives an ``(N, dim)`` array of
+    points in the unit cube and returns ``N`` values.  One call carries
+    the quadrature points of many boxes (up to 512 per call), so ``f``'s
+    value at a point must not depend on the other points of the call.
+
     Args:
         dim: spatial dimension of the simulation volume (unit hyper-cube).
         k: multiwavelet order (polynomials 0..k-1 per dimension).
@@ -445,6 +459,8 @@ class FunctionFactory:
             raise OperatorError(
                 f"need 0 <= initial_level <= max_level, got {initial_level}, {max_level}"
             )
+        if truncate_mode not in TRUNCATE_MODES:
+            raise OperatorError(f"unknown truncate mode {truncate_mode!r}")
         self.dim = dim
         self.k = k
         self.thresh = thresh
@@ -456,61 +472,113 @@ class FunctionFactory:
 
     # -- projection ------------------------------------------------------------
 
-    def project_box(self, f: Callable[[np.ndarray], np.ndarray], key: Key) -> np.ndarray:
-        """Scaling coefficients of ``f`` on one box by tensor quadrature.
+    def _project(
+        self, f: Callable[[np.ndarray], np.ndarray], level: int, translations: np.ndarray
+    ) -> np.ndarray:
+        """Scaling coefficients of ``f`` on boxes of one level by tensor
+        quadrature: ``(B, dim)`` translations give ``(B, k, ..., k)``.
 
-        ``f`` must be vectorised: it receives points of shape ``(N, dim)``
-        and returns ``N`` values.
+        ``f`` sees the quadrature points of up to ``_CHUNK_BOXES`` boxes
+        per call.  Each contraction with ``quad.phiw`` is one stacked
+        matmul whose per-box products are the BLAS calls of projecting
+        each box alone (``np.tensordot`` per axis), so the coefficients
+        do not depend on how boxes are grouped.
         """
-        npt = self.quad.npt
-        scale = 1.0 / (1 << key.level)
-        axes = [
-            (self.quad.points + t) * scale for t in key.translation
-        ]
-        grid = np.stack(
-            np.meshgrid(*axes, indexing="ij"), axis=-1
-        ).reshape(-1, self.dim)
-        values = np.asarray(f(grid), dtype=float).reshape((npt,) * self.dim)
-        t = values
-        for _ in range(self.dim):
-            t = np.tensordot(t, self.quad.phiw, axes=([0], [0]))
-        return t * 2.0 ** (-key.level * self.dim / 2.0)
+        quad, dim = self.quad, self.dim
+        npt = quad.npt
+        scale = 1.0 / (1 << level)
+        out = np.empty((len(translations),) + (self.k,) * dim)
+        for lo in range(0, len(translations), _CHUNK_BOXES):
+            chunk = translations[lo : lo + _CHUNK_BOXES]
+            m = len(chunk)
+            grid = np.empty((m,) + (npt,) * dim + (dim,))
+            for axis in range(dim):
+                shape = [m] + [1] * dim
+                shape[1 + axis] = npt
+                coords = (quad.points + chunk[:, axis, None]) * scale
+                grid[..., axis] = coords.reshape(shape)
+            c = np.asarray(f(grid.reshape(-1, dim)), dtype=float)
+            for _ in range(dim):
+                c = np.matmul(c.reshape(m, npt, -1).transpose(0, 2, 1), quad.phiw)
+            out[lo : lo + m] = c.reshape((m,) + (self.k,) * dim)
+        out *= 2.0 ** (-level * dim / 2.0)
+        return out
+
+    def _detail_norms(self, coeffs: np.ndarray) -> np.ndarray:
+        """Norm of the wavelet part of each parent's two-scale tensor.
+
+        ``coeffs`` is ``(P, 2^d, k, ..., k)``: each parent's children in
+        :meth:`Key.children` order.  Per parent this is
+        :func:`gather_children`, :func:`transform` by ``hg.T``, a zeroed
+        scaling corner and ``np.linalg.norm``; the stacked matmuls make
+        each parent's BLAS calls, so the norms are bit-identical to it.
+        """
+        n, k, dim = len(coeffs), self.k, self.dim
+        side = 2 * k
+        # (P, b_1..b_d, i_1..i_d) -> (P, b_1, i_1, .., b_d, i_d) = (P, 2k, .., 2k)
+        axes = [0] + [a for i in range(1, dim + 1) for a in (i, dim + i)]
+        u = coeffs.reshape((n,) + (2,) * dim + (k,) * dim).transpose(axes)
+        hgT = self.filter.hg.T
+        for _ in range(dim):
+            u = np.matmul(u.reshape(n, side, -1).transpose(0, 2, 1), hgT)
+        v = u.reshape((n,) + (side,) * dim)
+        v[(slice(None),) + scaling_corner(dim, k)] = 0.0
+        flat = v.reshape(n, 1, -1)
+        return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(n)
 
     def from_callable(
         self, f: Callable[[np.ndarray], np.ndarray]
     ) -> MultiresolutionFunction:
-        """Adaptively project ``f``; result is in reconstructed form."""
-        tree = FunctionTree(self.dim)
-        corner = (slice(0, self.k),) * self.dim
-        hgT = self.filter.hg.T
+        """Adaptively project ``f``; result is in reconstructed form.
 
-        def refine(key: Key) -> None:
-            tree[key] = FunctionNode(has_children=True)
-            child_coeffs = {c: self.project_box(f, c) for c in key.children()}
-            converged = False
-            if key.level >= self.initial_level:
-                uu = gather_children(child_coeffs.__getitem__, key, self.k)
-                v = transform(uu, hgT)
-                v = v.copy()
-                v[corner] = 0.0
-                d_norm = float(np.linalg.norm(v))
-                tol = MultiresolutionFunction.truncate_tol(
-                    _tol_proxy, key.level
-                )
-                converged = d_norm <= tol
-            if converged or key.level + 1 >= self.max_level:
-                for child, s in child_coeffs.items():
-                    tree[child] = FunctionNode(coeffs=s)
+        Refinement runs a level at a time: the children of every box that
+        refines at a level are projected together, each parent's
+        convergence is tested on its children's coefficients, and the
+        tree is filled in depth-first pre-order (a box, then its
+        children's subtrees), the order a recursive refinement inserts.
+        A parent converges when the wavelet norm its children carry is
+        at most ``truncate_tol``; its children then become leaves.
+        """
+        dim = self.dim
+        root = Key.root(dim)
+        children_of: dict[Key, list[Key]] = {}
+        leaf_coeffs: dict[Key, np.ndarray] = {}
+        parents, level = [root], 0
+        while parents:
+            children = [list(p.children()) for p in parents]
+            translations = np.array([c.translation for kids in children for c in kids])
+            coeffs = self._project(f, level + 1, translations).reshape(
+                (len(parents), 1 << dim) + (self.k,) * dim
+            )
+            if level >= self.initial_level:
+                tol = truncate_tol(self.thresh, self.truncate_mode, dim, level)
+                done = self._detail_norms(coeffs) <= tol
             else:
-                for child in key.children():
-                    refine(child)
+                done = np.zeros(len(parents), dtype=bool)
+            if level + 1 >= self.max_level:
+                done[:] = True
+            refining: list[Key] = []
+            for parent, kids, block, leaves in zip(parents, children, coeffs, done):
+                children_of[parent] = kids
+                if leaves:
+                    leaf_coeffs[parent] = block
+                else:
+                    refining.extend(kids)
+            parents, level = refining, level + 1
 
-        # a light proxy object so truncate_tol can be reused without a
-        # fully-built function
-        _tol_proxy = _TolProxy(self.dim, self.thresh, self.truncate_mode)
-        refine(Key.root(self.dim))
+        tree = FunctionTree(dim)
+        stack = [root]
+        while stack:
+            key = stack.pop()
+            tree[key] = FunctionNode(has_children=True)
+            block = leaf_coeffs.get(key)
+            if block is None:
+                stack.extend(reversed(children_of[key]))
+            else:
+                for child, s in zip(children_of[key], block):
+                    tree[child] = FunctionNode(coeffs=s)
         fn = MultiresolutionFunction(
-            self.dim,
+            dim,
             self.k,
             tree,
             thresh=self.thresh,
@@ -528,9 +596,9 @@ class FunctionFactory:
         keys = [Key.root(self.dim)]
         for _ in range(level):
             keys = [c for k in keys for c in k.children()]
-        for key in keys:
-            tree.ensure_path(key)
-            tree[key].coeffs = self.project_box(f, key)
+        coeffs = self._project(f, level, np.array([key.translation for key in keys]))
+        for key, s in zip(keys, coeffs):
+            tree.ensure_path(key).coeffs = s
         return MultiresolutionFunction(
             self.dim,
             self.k,
@@ -554,12 +622,3 @@ class FunctionFactory:
             form=RECONSTRUCTED,
             truncate_mode=self.truncate_mode,
         )
-
-
-class _TolProxy:
-    """Duck-typed carrier of the fields ``truncate_tol`` reads."""
-
-    def __init__(self, dim: int, thresh: float, truncate_mode: str):
-        self.dim = dim
-        self.thresh = thresh
-        self.truncate_mode = truncate_mode

@@ -10,11 +10,17 @@ simulated compute nodes.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
+from operator import attrgetter
 
 from repro.errors import TreeStructureError
 from repro.mra.key import Key
 from repro.mra.node import FunctionNode
+
+#: a key's ``(level, translation)`` tuple: sorting on it orders keys as
+#: ``Key``'s comparisons do, without a Python-level ``__lt__`` per compare
+_level_major = attrgetter("level", "translation")
 
 
 class FunctionTree:
@@ -107,7 +113,7 @@ class FunctionTree:
 
     def by_level(self, reverse: bool = False) -> Iterator[tuple[Key, FunctionNode]]:
         """Iterate nodes sorted coarse-to-fine (or fine-to-coarse)."""
-        for key in sorted(self._nodes, reverse=reverse):
+        for key in sorted(self._nodes, key=_level_major, reverse=reverse):
             yield key, self._nodes[key]
 
     def max_level(self) -> int:
@@ -145,20 +151,25 @@ class FunctionTree:
         - with ``complete=True`` (the form produced by projection and the
           operators) every interior node has all 2^d children present.
         """
-        if self.root not in self._nodes:
+        nodes = self._nodes
+        if self.root not in nodes:
             raise TreeStructureError("tree has no root node")
-        for key, node in self._nodes.items():
+        parent_of = {key: key.parent() for key in nodes if key.level > 0}
+        # a node's children present in the tree are the nodes naming it as
+        # parent: all 2^d are present exactly when 2^d nodes name it
+        n_present = Counter(parent_of.values())
+        n_children = 1 << self.dim
+        for key, node in nodes.items():
             if key.level > 0:
-                parent = self._nodes.get(key.parent())
+                parent = nodes.get(parent_of[key])
                 if parent is None:
                     raise TreeStructureError(f"node {key} has no parent in tree")
                 if not parent.has_children:
                     raise TreeStructureError(
                         f"parent of {key} is not marked as interior"
                     )
-            if complete and node.has_children:
-                for child in key.children():
-                    if child not in self._nodes:
-                        raise TreeStructureError(
-                            f"interior node {key} is missing child {child}"
-                        )
+            if complete and node.has_children and n_present[key] != n_children:
+                child = next(c for c in key.children() if c not in nodes)
+                raise TreeStructureError(
+                    f"interior node {key} is missing child {child}"
+                )

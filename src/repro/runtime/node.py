@@ -61,7 +61,7 @@ _DATA_THREADS = 2
 _ADMISSION_WINDOW = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchMetrics:
     """One completed batch: its planned split beside the measured
     simulated durations of each pipeline stage.
@@ -747,9 +747,6 @@ class NodeRuntime:
         rec.transfer_in_seconds = t_in
         if ticket is not None:
             self.gpu_cache.commit_transfer(ticket)
-            rec.blocks_shipped = len(ticket.ship_keys)
-            rec.blocks_waited = len(ticket.wait_keys)
-            rec.blocks_hit = len(ticket.hit_keys)
             if ticket.ship_keys:
                 self._log_block_transfer(ticket.ship_keys, env.now, batch_index)
                 inflight[ticket.ship_keys[0]].succeed()

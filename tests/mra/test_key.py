@@ -1,6 +1,11 @@
 """Tests for dyadic box keys."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TreeStructureError
 from repro.mra.key import Key
@@ -84,3 +89,104 @@ def test_ordering_is_level_major():
 
 def test_str_compact():
     assert str(Key(2, (1, 3))) == "(2: 1,3)"
+
+
+# -- the value contract: that of the tuple (level, translation) ---------------
+
+
+@st.composite
+def keys(draw, dim=None):
+    dim = draw(st.integers(1, 3)) if dim is None else dim
+    level = draw(st.integers(0, 10))
+    limit = (1 << level) - 1
+    translation = draw(st.tuples(*[st.integers(0, limit)] * dim))
+    return Key(level, translation)
+
+
+def as_tuple(key):
+    return (key.level, key.translation)
+
+
+@given(keys())
+def test_hash_is_the_tuple_hash(key):
+    assert hash(key) == hash((key.level, key.translation))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(keys(d), min_size=2, max_size=12)))
+def test_ordering_and_equality_follow_the_tuple(ks):
+    a, b = ks[0], ks[1]
+    assert (a < b) == (as_tuple(a) < as_tuple(b))
+    assert (a <= b) == (as_tuple(a) <= as_tuple(b))
+    assert (a > b) == (as_tuple(a) > as_tuple(b))
+    assert (a >= b) == (as_tuple(a) >= as_tuple(b))
+    assert (a == b) == (as_tuple(a) == as_tuple(b))
+    assert (a != b) == (as_tuple(a) != as_tuple(b))
+    assert [as_tuple(k) for k in sorted(ks)] == sorted(as_tuple(k) for k in ks)
+    assert a == Key(a.level, a.translation)
+
+
+def test_key_is_not_equal_to_its_tuple():
+    key = Key(1, (0, 1))
+    assert key != (1, (0, 1))
+    with pytest.raises(TypeError):
+        key < (1, (0, 1))
+
+
+@given(keys())
+def test_key_is_immutable(key):
+    with pytest.raises(AttributeError):
+        key.level = key.level + 1
+    with pytest.raises(AttributeError):
+        key.translation = ()
+    with pytest.raises(AttributeError):
+        key.note = "anything"
+    with pytest.raises(AttributeError):
+        del key.level
+    assert not hasattr(key, "__dict__")
+
+
+@given(keys())
+def test_pickle_and_deepcopy_round_trip(key):
+    """Checkpoints deep-copy results that hold keys."""
+    for copied in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), copy.copy(key)):
+        assert type(copied) is Key
+        assert copied == key and hash(copied) == hash(key)
+    (copied,) = copy.deepcopy({key: None})
+    assert copied == key and hash(copied) == hash(key)
+
+
+@given(keys())
+def test_repr_is_the_dataclass_repr(key):
+    assert repr(key) == f"Key(level={key.level!r}, translation={key.translation!r})"
+
+
+def test_repr_example():
+    assert repr(Key(2, (1, 3))) == "Key(level=2, translation=(1, 3))"
+
+
+def test_outside_construction_still_validates():
+    for level, translation in [(1, (2,)), (2, (0, 4)), (0, (1, 0, 0)), (3, (-1,))]:
+        with pytest.raises(TreeStructureError):
+            Key(level, translation)
+
+
+@given(keys(), st.data())
+def test_derived_keys_equal_validated_ones(key, data):
+    for child in key.children():
+        built = Key(child.level, child.translation)
+        assert child == built and hash(child) == hash(built)
+        assert type(child.translation) is tuple
+        assert child.parent() == key
+    if key.level > 0:
+        parent = key.parent()
+        assert parent == Key(parent.level, parent.translation)
+        assert hash(parent) == hash(Key(parent.level, parent.translation))
+    offset = tuple(data.draw(st.integers(-2, 2)) for _ in range(key.dim))
+    moved = key.neighbor(offset)
+    limit = 1 << key.level
+    translated = tuple(t + d for t, d in zip(key.translation, offset))
+    if all(0 <= t < limit for t in translated):
+        assert moved == Key(key.level, translated)
+        assert hash(moved) == hash(Key(key.level, translated))
+    else:
+        assert moved is None

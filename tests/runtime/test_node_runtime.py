@@ -121,6 +121,18 @@ def test_block_cache_limits_shipped_bytes():
     assert tl.block_bytes_shipped < naive_total / 2
 
 
+def test_batch_record_rejects_unknown_fields():
+    """A batch record has slots: a write to a field it does not declare
+    (the block counts live in the registry's ``cache.blocks_*``) raises
+    instead of adding an attribute nothing reads."""
+    tl = make_runtime("gpu").execute(make_tasks(20))
+    rec = tl.batches[0]
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.blocks_shipped = 1
+    rec.attempts = 2  # declared fields stay writable
+
+
 def payload_tasks(n, *, dim=2, k=8, rank=10, seed=0):
     """Formula 1 tasks carrying real payloads and no postprocess hook."""
     proto = probe_item(dim, k, rank)
