@@ -4,10 +4,10 @@ export PYTHONPATH := src
 .PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
-## and tests), race gate, ruff, mypy, tier-1 tests, serve-smoke, perf-pins,
-## perf-tests, examples and experiments-smoke; the coverage floor and the
-## export `cmp` stay CI-only
-check: lint lint-tests races ruff mypy test serve-smoke perf-pins perf-tests examples experiments-smoke
+## and tests), race gate, ruff, mypy, tier-1 tests, steal-smoke,
+## serve-smoke, perf-pins, perf-tests, examples and experiments-smoke; the
+## coverage floor and the export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test steal-smoke serve-smoke perf-pins perf-tests examples experiments-smoke
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -54,7 +54,8 @@ golden:
 	$(PYTHON) -m pytest tests/obs/test_golden_traces.py -q --update-golden
 
 ## steal-smoke: reduced-scale stealing-vs-static benchmark (the full
-## sweep runs 5000 simulated ranks; scale 0.1 stops at 500)
+## sweep runs 5000 simulated ranks; scale 0.1 stops at 500, the rank
+## count the stealing claim is made at; blocking in CI)
 steal-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_stealing.py -q
 

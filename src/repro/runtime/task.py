@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 
@@ -32,8 +33,14 @@ class TaskKind:
     compute_name: str
     signature: Hashable
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """``compute_name[signature]``: the string traces log and the
+        serving batcher buckets by, formatted once per kind object."""
         return f"{self.compute_name}[{self.signature}]"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 @dataclass
@@ -53,9 +60,10 @@ class WorkItem:
             Items of one block family share one tuple object, which lets
             :class:`BlockFold` fold the family once per aggregate.
         block_bytes: total size of those blocks if they all missed.  An
-            aggregate charges ``block_bytes / len(block_keys)`` for each
-            entry of ``block_keys`` it has not seen before this item, so
-            a key repeated inside one tuple is charged once per repeat.
+            aggregate charges ``block_bytes / len(block_keys)`` once for
+            each distinct key of ``block_keys`` it has not seen before
+            this item, so a key repeated inside one tuple is charged
+            once.
         steps: number of small matrix multiplications inside the item
             (``rank x dim`` for Formula 1) — the quantity that decides
             custom-kernel vs cuBLAS behaviour.
@@ -112,16 +120,17 @@ class HybridTask:
 class BlockFold:
     """The operator-block charge of a growing sequence of items.
 
-    Each item is charged ``block_bytes / len(block_keys)`` for every
-    entry of its ``block_keys`` not seen before it: the per-key scan
-    ``[k for k in keys if k not in seen]``, in-tuple repeats included.
-    The fold gets that count without the scan wherever it can:
+    Each item is charged ``block_bytes / len(block_keys)`` once for
+    every distinct key of its ``block_keys`` not seen before it: the
+    per-key scan over ``dict.fromkeys(keys)``, so a key the tuple repeats
+    counts once.  The fold gets that count without the scan wherever it
+    can:
 
     - a tuple object already folded here adds no key (compared by
       ``id``, which is safe because the caller's items keep every
       tuple alive while the fold lives);
-    - a tuple disjoint from the keys seen so far adds ``len(keys)``,
-      with one set operation;
+    - a tuple disjoint from the keys seen so far adds all its distinct
+      keys, found with one set operation;
     - only a tuple that overlaps the seen keys is scanned key by key.
 
     :meth:`BatchStats.of` and ``HybridDispatcher._running_stats`` share
@@ -143,12 +152,13 @@ class BlockFold:
             return 0
         self._folded.add(set_id)
         seen = self.seen
-        new = keys if seen.keys().isdisjoint(keys) else [
-            k for k in keys if k not in seen
-        ]
+        new = dict.fromkeys(
+            keys if seen.keys().isdisjoint(keys)
+            else [k for k in keys if k not in seen]
+        )
         if not new:
             return 0
-        seen.update(dict.fromkeys(new))
+        seen.update(new)
         per_block = item.block_bytes / len(keys)
         return int(per_block * len(new))
 
@@ -158,10 +168,11 @@ class BatchStats:
     """Aggregate shape of a batch, consumed by the kernel cost models.
 
     ``unique_block_bytes`` is the :class:`BlockFold` charge: each item
-    pays its per-block size for every entry of its ``block_keys`` that
-    no earlier item used.  A key an item lists twice is charged twice
+    pays its per-block size once for every distinct key of its
+    ``block_keys`` that no earlier item used.  A key an item lists twice
     (``BatchedApply`` lists one key per axis, so a displacement with
-    equal components repeats keys), while ``block_keys`` holds it once.
+    equal components repeats keys) is charged once, as ``block_keys``
+    holds it once.
     """
 
     n_items: int = 0

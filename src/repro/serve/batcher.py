@@ -21,12 +21,24 @@ The batcher also answers the two signals the rest of the service
 polls: total backlog (``depth`` — the admission controller's shedding
 input) and the age of the oldest queued item (``oldest_wait`` — the
 autoscaler's observed queue delay).
+
+Cost: ``add``, ``next_batch`` and ``oldest_wait`` take amortized time
+logarithmic in the number of buckets, whatever the backlog.  Two heaps
+hold bucket heads, one keyed by dispatch rank and one by enqueue time.
+A bucket that gets a new head pushes it onto both; an entry whose head
+has since left its bucket is dropped when it reaches the top (lazy
+invalidation, like the stealing engine's victim board), and a heap
+that grows past twice the bucket count is rebuilt from its live
+entries.  A head's keys never change while it waits: ``seq`` is
+unique, and a queued job's class and deadline are fixed at admission.
+``purge_job`` scans the backlog; it runs only when a job is dropped.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro.errors import ReproError
 from repro.serve.jobs import Job
@@ -36,7 +48,7 @@ class BatcherError(ReproError, ValueError):
     """The batcher was configured or fed inconsistently."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SubTask:
     """One ready work item of one job, queued for dispatch."""
 
@@ -47,10 +59,10 @@ class SubTask:
     @property
     def kind_key(self) -> str:
         """The shape bucket this sub-task lands in."""
-        return str(self.item.kind)
+        return self.item.kind.label
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True)
 class _Entry:
     """One queued sub-task with its enqueue bookkeeping."""
 
@@ -74,7 +86,12 @@ class CrossJobBatcher:
             )
         self.max_batch_size = max_batch_size
         self.fifo = fifo
+        #: kind key -> its queued entries, FIFO; never empty
         self._buckets: dict[str, deque[_Entry]] = {}
+        #: bucket heads as ``(rank, seq, key)``, stale ones included
+        self._by_rank: list[tuple] = []
+        #: bucket heads as ``(enqueued_at, seq, key)``, stale ones included
+        self._by_age: list[tuple] = []
         self._seq = 0
         self._depth = 0
 
@@ -83,7 +100,13 @@ class CrossJobBatcher:
         entry = _Entry(self._seq, now, task)
         self._seq += 1
         self._depth += 1
-        self._buckets.setdefault(task.kind_key, deque()).append(entry)
+        key = task.kind_key
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = deque((entry,))
+            self._new_head(key, entry)
+        else:
+            bucket.append(entry)
 
     def depth(self) -> int:
         """Total queued sub-tasks across all buckets."""
@@ -92,13 +115,8 @@ class CrossJobBatcher:
     def oldest_wait(self, now: float) -> float:
         """Age of the oldest queued sub-task (0.0 when empty) — the
         observed queue delay the autoscaler reacts to."""
-        oldest = None
-        for bucket in self._buckets.values():
-            if bucket:
-                head = bucket[0].enqueued_at
-                if oldest is None or head < oldest:
-                    oldest = head
-        return 0.0 if oldest is None else now - oldest
+        top = self._top(self._by_age)
+        return 0.0 if top is None else now - top[0]
 
     def _bucket_rank(self, key: str) -> tuple:
         """Dispatch-priority sort key of one non-empty bucket."""
@@ -107,6 +125,35 @@ class CrossJobBatcher:
             return (head.seq,)
         job = head.task.job
         return (job.slo.priority, job.deadline, head.seq)
+
+    def _new_head(self, key: str, head: _Entry) -> None:
+        """Enter ``head``, now first in bucket ``key``, in both heaps.
+
+        Each live bucket has exactly one current entry per heap, so a
+        heap longer than twice the bucket count is mostly stale: it is
+        rebuilt from its current entries, which keeps its length within
+        that bound at amortized constant cost per push.
+        """
+        for heap, first in (
+            (self._by_rank, self._bucket_rank(key)),
+            (self._by_age, head.enqueued_at),
+        ):
+            heappush(heap, (first, head.seq, key))
+            if len(heap) > 2 * len(self._buckets):
+                heap[:] = [e for e in heap if self._is_head(e)]
+                heapify(heap)
+
+    def _is_head(self, entry: tuple) -> bool:
+        """Whether heap ``entry`` still names its bucket's head."""
+        bucket = self._buckets.get(entry[2])
+        return bucket is not None and bucket[0].seq == entry[1]
+
+    def _top(self, heap: list[tuple]) -> tuple | None:
+        """The least current entry of ``heap``, after popping the stale
+        entries above it."""
+        while heap and not self._is_head(heap[0]):
+            heappop(heap)
+        return heap[0] if heap else None
 
     def purge_job(self, job: Job) -> list[SubTask]:
         """Remove every queued sub-task of ``job``, returning them in
@@ -123,10 +170,12 @@ class CrossJobBatcher:
             if len(kept) == len(bucket):
                 continue
             removed.extend(e.task for e in bucket if e.task.job is job)
-            if kept:
-                self._buckets[key] = kept
-            else:
+            if not kept:
                 del self._buckets[key]
+                continue
+            self._buckets[key] = kept
+            if kept[0] is not bucket[0]:
+                self._new_head(key, kept[0])
         self._depth -= len(removed)
         return removed
 
@@ -137,15 +186,16 @@ class CrossJobBatcher:
         FIFO order; the batch never spans buckets (one kind = one
         uniformly-shaped transfer buffer).
         """
-        candidates = [k for k, b in self._buckets.items() if b]
-        if not candidates:
+        if self._top(self._by_rank) is None:
             return None
-        key = min(candidates, key=self._bucket_rank)
+        key = heappop(self._by_rank)[2]
         bucket = self._buckets[key]
         batch: list[SubTask] = []
         while bucket and len(batch) < self.max_batch_size:
             batch.append(bucket.popleft().task)
-        if not bucket:
+        if bucket:
+            self._new_head(key, bucket[0])
+        else:
             del self._buckets[key]
         self._depth -= len(batch)
         return batch

@@ -100,8 +100,9 @@ JOB_TEMPLATES = {
 class Job:
     """One admitted job in flight.
 
-    ``stages[i]`` pairs item ids with their work items; the service
-    submits stage ``i+1`` when ``remaining`` of stage ``i`` hits zero.
+    ``stages[i]`` pairs item ids with their work item, one object
+    shared by the whole stage; the service submits stage ``i+1`` when
+    ``remaining`` of stage ``i`` hits zero.
     ``deadline`` is absolute (admission instant + the class budget).
     ``requeues`` counts how many times a crashed or faulted worker sent
     the job's items back to the queue; once it exceeds the service's
@@ -167,7 +168,10 @@ def build_job(
     ``False`` salts the signature with the job id, making every job
     its own batching universe — the ablation baseline.
 
-    Item ids are ``"<job>.s<stage>.i<n>"`` — strings, which the dump
+    The items of one stage are identical, so they share one
+    :class:`WorkItem` (and one :class:`TaskKind`): serving prices items
+    by their cost fields and logs them by id, never by object.  Item
+    ids are ``"<job>.s<stage>.i<n>"`` — strings, which the dump
     canonicalizer passes through verbatim, and whose ``"j<n>."``
     prefix is how trace_check invariant #9 attributes compute records
     back to jobs.
@@ -177,12 +181,10 @@ def build_job(
         signature: tuple = (slo.name, template.q)
         if not shared_kinds:
             signature = signature + (job_id,)
+        item = _stage_item(stage, template.q, signature)
         stages.append(
             [
-                (
-                    f"{job_id}.s{si}.i{ii}",
-                    _stage_item(stage, template.q, signature),
-                )
+                (f"{job_id}.s{si}.i{ii}", item)
                 for ii in range(template.items_per_stage)
             ]
         )

@@ -139,7 +139,9 @@ COST_FIELDS = [f.name for f in fields(BatchStats) if f.name != "block_keys"]
 
 def per_key_stats(items) -> BatchStats:
     """Test-only reference: the per-key scan that ``BatchStats.of`` and
-    ``_running_stats`` replaced with a fold of whole block sets."""
+    ``_running_stats`` replaced with a fold of whole block sets.  Each
+    distinct key of an item is charged once, however often the item's
+    tuple repeats it."""
     stats = BatchStats()
     seen: dict = {}
     for it in items:
@@ -150,7 +152,7 @@ def per_key_stats(items) -> BatchStats:
         stats.steps += it.steps
         stats.step_rows = max(stats.step_rows, it.step_rows)
         stats.step_q = max(stats.step_q, it.step_q)
-        new = [k for k in it.block_keys if k not in seen]
+        new = [k for k in dict.fromkeys(it.block_keys) if k not in seen]
         for k in new:
             seen[k] = None
         if it.block_keys:
