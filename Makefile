@@ -1,13 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke table6-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, steal-smoke,
-## serve-smoke, perf-pins, perf-tests, examples and experiments-smoke; the
-## coverage floor and the export `cmp` stay CI-only
-check: lint lint-tests races ruff mypy test steal-smoke serve-smoke perf-pins perf-tests examples experiments-smoke
+## serve-smoke, table6-smoke, perf-pins, perf-tests, examples and
+## experiments-smoke; the coverage floor and the export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test steal-smoke serve-smoke table6-smoke perf-pins perf-tests examples experiments-smoke
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -63,6 +63,12 @@ steal-smoke:
 ## BENCH_serve.json baseline (the p99/goodput win must hold at 0.1)
 serve-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_serve.py -q
+
+## table6-smoke: Table VI's winner and factor claims (hybrid over CPU-only
+## at 300-500 nodes, GPU over CPU at 500, sub-linear scaling) asserted at
+## reduced scale; they hold at 0.02, 0.05 and 0.1 (blocking in CI)
+table6-smoke:
+	REPRO_BENCH_SCALE=0.05 $(PYTHON) -m pytest benchmarks/test_table6.py -q
 
 ## chaos-sched-smoke: composed-mode chaos — stealing+recovery must beat
 ## static+recovery at every crash rate and serving must lose zero jobs

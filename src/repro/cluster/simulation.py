@@ -313,12 +313,20 @@ class ClusterSimulation:
         mixes screened ranks (different ``steps``) under one kind, and
         the no-cross-job serving ablation gives equal shapes per-job
         kinds.  Deterministic: the calibration run is itself a seeded
-        simulation.
+        simulation.  An item that is the same object as the one before
+        it (a serving batch repeats one ``WorkItem`` per job stage) adds
+        the previous price without rebuilding its key: the same key, so
+        the same sum, added in the same order.
         """
         gpu_failed = self._gpu_failed(rank)
         costs = self._calibration
         total = 0.0
+        previous = per_item = None
         for item in items:
+            if item is previous:
+                total += per_item
+                continue
+            previous = item
             key = (
                 gpu_failed,
                 batch,

@@ -17,22 +17,30 @@ a two-phase protocol:
 - :meth:`commit_transfer` makes the shipped blocks resident once the
   transfer has completed on the simulated clock.
 
-The partition is made per batch, not per key: a batch whose blocks are
-all new (neither resident nor in flight) ships them all, and any other
-batch is walked key by key.  The cache records which tickets it issued
-are still in flight; :meth:`commit_transfer` and :meth:`abort_transfer`
-land only such a ticket and raise, changing nothing, for any other —
-one already committed or aborted (even when its blocks have since been
-shipped again by another ticket) or one this cache never issued.
+The partition is made a block family at a time, not per key: a batch's
+keys come as the :class:`~repro.runtime.task.BlockParts` of the fold
+that aggregated it, and a part whose keys are all new (neither resident
+nor in flight) ships whole, one inside the resident set hits whole and
+one inside the in-flight set waits whole, each found with set
+operations; only a part whose keys are in different states is walked
+key by key.  A flat iterable of keys is one part.
+
+The cache records which tickets it issued are still in flight;
+:meth:`commit_transfer` and :meth:`abort_transfer` land only such a
+ticket and raise, changing nothing, for any other — one already
+committed or aborted (even when its blocks have since been shipped
+again by another ticket) or one this cache never issued.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import HardwareModelError
 from repro.operators.cache import CacheStats
+from repro.runtime.task import BlockParts
 
 
 @dataclass(frozen=True)
@@ -47,12 +55,26 @@ class TransferTicket:
             computing on them (and must not re-ship them).
         hit_keys: blocks already resident on the device.
         bytes_to_ship: PCIe bytes this batch is charged for.
+        ship_parts: ``ship_keys`` split by block family, each part a
+            set where the partition had one (a family shipped whole),
+            else a tuple; commit, abort and the runtime's in-flight map
+            update one part at a time.  Left out of equality.
     """
 
     ship_keys: tuple[Hashable, ...]
     wait_keys: tuple[Hashable, ...]
     hit_keys: tuple[Hashable, ...]
     bytes_to_ship: int
+    ship_parts: tuple[Iterable[Hashable], ...] = field(
+        default=(), compare=False, repr=False
+    )
+
+
+def _joined(parts: list[tuple[Hashable, ...]]) -> tuple[Hashable, ...]:
+    """The parts' keys concatenated, in part order."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(chain.from_iterable(parts))
 
 
 class GpuBlockCache:
@@ -96,45 +118,69 @@ class GpuBlockCache:
     # -- two-phase transfer protocol -------------------------------------------
 
     def begin_transfer(
-        self, block_keys: Iterable[Hashable], bytes_per_block: float
+        self, block_keys: Iterable[Hashable] | BlockParts, bytes_per_block: float
     ) -> TransferTicket:
         """Partition a batch's blocks into hits / in-flight waits / ships.
 
-        Ship keys are marked in flight and their bytes reserved against
+        ``block_keys`` is the batch's :class:`~repro.runtime.task.
+        BlockParts`, or a flat iterable of keys, which is one part.  Ship
+        keys are marked in flight and their bytes reserved against
         capacity; residency is granted only by :meth:`commit_transfer`.
         Hits and waits cost nothing on PCIe (the whole point of
         write-once residency) — but a wait is only *usable* once the
         owning transfer commits.  All statistics count unique keys, and
         every part keeps the keys' first-occurrence order.
         """
-        unique = tuple(dict.fromkeys(block_keys))
-        resident, in_flight = self._resident, self._in_flight
-        if resident.isdisjoint(unique) and in_flight.isdisjoint(unique):
-            hits, waits, ship = (), (), unique
+        if isinstance(block_keys, BlockParts):
+            parts = block_keys
         else:
-            hits = tuple(k for k in unique if k in resident)
-            waits = tuple(
-                k for k in unique if k in in_flight and k not in resident
-            )
-            ship = tuple(
-                k for k in unique if k not in resident and k not in in_flight
-            )
-        total = int(len(ship) * bytes_per_block)
+            parts = ((tuple(dict.fromkeys(block_keys)), None),)
+        resident, in_flight = self._resident, self._in_flight
+        hits: list[tuple[Hashable, ...]] = []
+        waits: list[tuple[Hashable, ...]] = []
+        ship: list[tuple[Hashable, ...]] = []
+        ship_parts: list[Iterable[Hashable]] = []
+        for keys, key_set in parts:
+            probe = keys if key_set is None else key_set
+            if resident.isdisjoint(probe) and in_flight.isdisjoint(probe):
+                ship.append(keys)
+                ship_parts.append(probe)
+            elif key_set is not None and key_set <= resident:
+                hits.append(keys)
+            elif key_set is not None and key_set <= in_flight:
+                waits.append(keys)
+            else:
+                hits.append(tuple(k for k in keys if k in resident))
+                waits.append(tuple(
+                    k for k in keys if k in in_flight and k not in resident
+                ))
+                shipped = tuple(
+                    k for k in keys if k not in resident and k not in in_flight
+                )
+                ship.append(shipped)
+                ship_parts.append(shipped)
+        ship_keys = _joined(ship)
+        total = int(len(ship_keys) * bytes_per_block)
         used = self.resident_bytes + self.reserved_bytes
         if used + total > self.capacity_bytes:
             raise HardwareModelError(
                 f"GPU block cache overflow: {used + total} bytes "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-        in_flight.update(ship)
-        self.reserved_bytes += total
-        self.stats.hits += len(hits)
-        self.stats.waits += len(waits)
-        self.stats.misses += len(ship)
+        for part in ship_parts:
+            in_flight.update(part)
         ticket = TransferTicket(
-            ship_keys=ship, wait_keys=waits, hit_keys=hits, bytes_to_ship=total
+            ship_keys=ship_keys,
+            wait_keys=_joined(waits),
+            hit_keys=_joined(hits),
+            bytes_to_ship=total,
+            ship_parts=tuple(ship_parts),
         )
-        if ship:
+        self.reserved_bytes += total
+        self.stats.hits += len(ticket.hit_keys)
+        self.stats.waits += len(ticket.wait_keys)
+        self.stats.misses += len(ship_keys)
+        if ship_keys:
             self._open[id(ticket)] = ticket
         return ticket
 
@@ -143,19 +189,20 @@ class GpuBlockCache:
         reservation — only when this cache issued the ticket and it has
         not landed yet, so a rejected ticket changes nothing.  A ticket
         that ships nothing has nothing to land."""
-        ship = ticket.ship_keys
-        if ship and self._open.pop(id(ticket), None) is not ticket:
+        if ticket.ship_keys and self._open.pop(id(ticket), None) is not ticket:
             raise HardwareModelError(
                 f"{verb} of a transfer ticket that is not in flight "
                 "(already committed or aborted, or not issued by this cache)"
             )
-        self._in_flight.difference_update(ship)
+        for part in ticket.ship_parts:
+            self._in_flight.difference_update(part)
         self.reserved_bytes -= ticket.bytes_to_ship
 
     def commit_transfer(self, ticket: TransferTicket) -> None:
         """Make a ticket's shipped blocks resident (transfer completed)."""
         self._land(ticket, "commit")
-        self._resident.update(ticket.ship_keys)
+        for part in ticket.ship_parts:
+            self._resident.update(part)
         self.resident_bytes += ticket.bytes_to_ship
         self.stats.bytes_inserted += ticket.bytes_to_ship
 

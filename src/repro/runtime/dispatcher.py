@@ -125,33 +125,42 @@ class HybridDispatcher:
     # -- planning ---------------------------------------------------------------
 
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
-        """Split one flushed batch per the configured mode (cpu/gpu/hybrid)."""
+        """Split one flushed batch per the configured mode (cpu/gpu/hybrid).
+
+        Every fold of the plan — the whole batch, the split search's
+        prefixes and suffixes, and the two shares — shares one key set
+        per block family (see :class:`BlockFold`), built the first time
+        a fold meets the family and dropped with the plan."""
         items = batch.items
-        stats = BatchStats.of(items)
+        key_sets: dict[int, frozenset] = {}
+        stats = BatchStats.of(items, key_sets)
         m, n = self.device_estimates(stats, transfer_estimator)
         if self.mode == "cpu":
             return self._cut_plan(items, len(items), stats, m, n, 1.0)
         if self.mode == "gpu":
             return self._cut_plan(items, 0, stats, m, n, 0.0)
-        cut = self._best_cut(items, transfer_estimator)
+        cut = self._best_cut(items, transfer_estimator, key_sets)
         k = self._fraction(items[:cut], items)
-        return self._cut_plan(items, cut, stats, m, n, k)
+        return self._cut_plan(items, cut, stats, m, n, k, key_sets)
 
     @staticmethod
     def _cut_plan(
         items: list[WorkItem], cut: int, stats: BatchStats,
         m: float, n: float, k: float,
+        key_sets: dict[int, frozenset] | None = None,
     ) -> DispatchPlan:
         """The plan sending ``items[:cut]`` to the CPU and the rest to the
         GPU; a share that is the whole batch reuses its aggregate
-        ``stats``."""
+        ``stats``, and the two shares of a split fold through the plan's
+        ``key_sets``."""
         cpu_items, gpu_items = list(items[:cut]), list(items[cut:])
         if not gpu_items:
             cpu_stats, gpu_stats = stats, BatchStats()
         elif not cpu_items:
             cpu_stats, gpu_stats = BatchStats(), stats
         else:
-            cpu_stats, gpu_stats = BatchStats.of(cpu_items), BatchStats.of(gpu_items)
+            cpu_stats = BatchStats.of(cpu_items, key_sets)
+            gpu_stats = BatchStats.of(gpu_items, key_sets)
         return DispatchPlan(cpu_items, gpu_items, m, n, k, cpu_stats, gpu_stats)
 
     @staticmethod
@@ -190,7 +199,10 @@ class HybridDispatcher:
             + transfer
         ) * self.gpu_time_scale
 
-    def _best_cut(self, items: list[WorkItem], transfer_estimator=None) -> int:
+    def _best_cut(
+        self, items: list[WorkItem], transfer_estimator=None,
+        key_sets: dict[int, frozenset] | None = None,
+    ) -> int:
         """Cut index minimising ``max(cpu(items[:cut]), gpu(items[cut:]))``.
 
         This realises the paper's optimal overlap against the *actual*
@@ -202,8 +214,8 @@ class HybridDispatcher:
         prefix/suffix aggregate statistics built in one pass each.
         """
         n = len(items)
-        prefixes = self._running_stats(items)
-        suffixes = self._running_stats(list(reversed(items)))
+        prefixes = self._running_stats(items, key_sets)
+        suffixes = self._running_stats(list(reversed(items)), key_sets)
         best_cut = 0
         best_time = None
         for cut in range(n + 1):
@@ -241,14 +253,16 @@ class HybridDispatcher:
         return cut
 
     @staticmethod
-    def _running_stats(items: list[WorkItem]) -> list[BatchStats]:
+    def _running_stats(
+        items: list[WorkItem], key_sets: dict[int, frozenset] | None = None
+    ) -> list[BatchStats]:
         """Cost fields of every prefix of ``items`` (length n+1, entry 0
         empty), built in one pass.  ``block_keys`` stays empty: the cost
         models read only ``unique_block_bytes``, so one :class:`BlockFold`
         serves every prefix."""
         out = [BatchStats()]
         acc = BatchStats()
-        blocks = BlockFold()
+        blocks = BlockFold(key_sets)
         for it in items:
             acc = BatchStats(
                 n_items=acc.n_items + 1,
@@ -300,10 +314,13 @@ class StaticSplitDispatcher(HybridDispatcher):
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split the batch at the fixed developer-chosen CPU fraction."""
         items = batch.items
-        stats = BatchStats.of(items)
+        key_sets: dict[int, frozenset] = {}
+        stats = BatchStats.of(items, key_sets)
         m, n = self.device_estimates(stats, transfer_estimator)
         cut = self._flops_cut(items, self.cpu_fraction)
-        return self._cut_plan(items, cut, stats, m, n, self.cpu_fraction)
+        return self._cut_plan(
+            items, cut, stats, m, n, self.cpu_fraction, key_sets
+        )
 
 
 class AdaptiveDispatcher(HybridDispatcher):

@@ -29,6 +29,7 @@ results (used by :mod:`repro.operators.apply_batched`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeConfigError
@@ -59,6 +60,13 @@ _DATA_THREADS = 2
 #: the window queue un-planned, so a calibrating dispatcher plans them
 #: with feedback from completed ones
 _ADMISSION_WINDOW = 4
+
+
+def _after_one_event(env: Environment, fn) -> None:
+    """Call ``fn()`` from a zero-delay event scheduled now: one event
+    later in the order, where a process started now takes its first
+    step, or where a process ending now triggers its own event."""
+    env.timeout(0.0).callbacks.append(lambda _value: fn())
 
 
 @dataclass(slots=True)
@@ -634,28 +642,44 @@ class NodeRuntime:
 
     # -- pipeline stages ---------------------------------------------------------
 
-    def _occupy(self, env, resource, seconds, category, label, batch=-1):
-        """One slot-slice: hold a slot of ``resource`` for ``seconds``."""
-        req = resource.request()
-        yield req
-        t0 = env.now
-        yield env.timeout(seconds)
-        self._trace(category, label, t0, env.now, batch)
-        resource.release()
-
     def _occupy_slices(self, env, resource, n_slices, seconds, category, label,
-                       batch=-1):
-        """Charge ``seconds`` on ``n_slices`` concurrent slots; the
-        returned events complete when every slice has run."""
+                       batch=-1) -> Event:
+        """Charge ``seconds`` on ``n_slices`` concurrent slots of
+        ``resource``; the returned event triggers once every slice has
+        run.
+
+        No process holds a slot.  The slices' requests go out together
+        one event after the call; each grant's callback starts that
+        slice's timeout, and the timeout's callback records the slice's
+        span (``label [i/n]``) and releases the slot.  The last slice to
+        end triggers the returned event two events later.  Every request,
+        timeout, span, release and the caller's resumption thus falls at
+        the place in the event order where one process per slice, joined
+        by an ``AllOf``, put it.
+        """
         n = max(1, min(n_slices, resource.capacity))
-        return [
-            env.process(
-                self._occupy(env, resource, seconds, category,
-                             f"{label} [{i + 1}/{n}]" if n > 1 else label,
-                             batch)
-            )
-            for i in range(n)
-        ]
+        done = env.event()
+        left = n
+
+        def end(name, t0, _value):
+            nonlocal left
+            self._trace(category, name, t0, env.now, batch)
+            resource.release()
+            left -= 1
+            if not left:
+                _after_one_event(env, done.succeed)
+
+        def grant(name, _value):
+            timeout = env.timeout(seconds)
+            timeout.callbacks.append(partial(end, name, env.now))
+
+        def request_all():
+            for i in range(n):
+                name = f"{label} [{i + 1}/{n}]" if n > 1 else label
+                resource.request().callbacks.append(partial(grant, name))
+
+        _after_one_event(env, request_all)
+        return done
 
     def _cpu_share(self, env, items, stats, timeline, pools, rec, batch=-1,
                    fallback=False):
@@ -678,11 +702,10 @@ class NodeRuntime:
         # one CPU compute task is single-threaded, so the share occupies
         # min(threads, items) slots — the kernel model already clamps its
         # duration the same way
-        slices = self._occupy_slices(
+        yield self._occupy_slices(
             env, pools.compute, min(self.dispatcher.cpu_threads, len(items)),
             seconds, "cpu", label, batch,
         )
-        yield AllOf(env, slices)
         if fallback:
             rec.fallback_items += len(items)
             timeline.n_gpu_items -= len(items)
@@ -722,15 +745,15 @@ class NodeRuntime:
             # two-phase write-once cache: reserve now, resident only when
             # the transfer completes — a concurrent batch sees in-flight
             # blocks as *waits*, not hits (the TOCTOU fix)
-            ticket = self.gpu_cache.begin_transfer(stats.block_keys, per_block)
+            ticket = self.gpu_cache.begin_transfer(stats.block_parts, per_block)
             self._log_begin_transfer(kind, stats.block_keys, env.now, batch_index)
             arrival_events = [
                 inflight[k] for k in ticket.wait_keys if k in inflight
             ]
             if ticket.ship_keys:
                 arrived = env.event()
-                for k in ticket.ship_keys:
-                    inflight[k] = arrived
+                for part in ticket.ship_parts:
+                    inflight.update(dict.fromkeys(part, arrived))
             block_bytes = ticket.bytes_to_ship
             bytes_in = stats.input_bytes + block_bytes
             plan_in = self.buffer_pool.plan(bytes_in)
@@ -854,10 +877,9 @@ class NodeRuntime:
                 label += f" [try {attempt + 1}]"
             self._log_gpu_compute(kind, block_keys, env.now, attempt,
                                   batch_index)
-            slices = self._occupy_slices(
+            yield self._occupy_slices(
                 env, pools.gpu, n_slices, seconds, "gpu", label, batch_index
             )
-            yield AllOf(env, slices)
             rec.attempts = attempt + 1
             if not faulted:
                 rec.measured_gpu_seconds = seconds

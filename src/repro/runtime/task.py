@@ -21,8 +21,9 @@ safely aggregatable into one transfer buffer.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 
@@ -57,8 +58,11 @@ class WorkItem:
         output_bytes: bytes produced by the compute phase.
         block_keys: identities of the operator blocks the item needs on
             the device; the write-once GPU cache dedups their transfer.
-            Items of one block family share one tuple object, which lets
-            :class:`BlockFold` fold the family once per aggregate.
+            Items of one block family share one tuple object: that is
+            what lets :class:`BlockFold` fold the family once per
+            aggregate and hash its keys once per plan, and the GPU cache
+            partition it with set operations.  Equal but distinct
+            tuples stay correct, at the per-tuple cost.
         block_bytes: total size of those blocks if they all missed.  An
             aggregate charges ``block_bytes / len(block_keys)`` once for
             each distinct key of ``block_keys`` it has not seen before
@@ -117,6 +121,33 @@ class HybridTask:
         return self.work
 
 
+#: one block family's keys new to an aggregate: ``(keys, key_set)``,
+#: ``keys`` distinct and in first-use order, ``key_set`` the same keys
+#: as a set (the plan's shared family set when the family added all its
+#: keys at once) or ``None`` when they were found key by key
+BlockPart = tuple[tuple[Hashable, ...], frozenset | None]
+
+
+class BlockParts(tuple):
+    """The distinct operator-block keys of an aggregate, as the
+    :data:`BlockPart` of each block family in first-use order.
+
+    The parts are pairwise disjoint, so their keys concatenated are the
+    aggregate's ``block_keys``.  :meth:`GpuBlockCache.begin_transfer
+    <repro.kernels.gpu_cache.GpuBlockCache.begin_transfer>` partitions a
+    batch part by part, with one set operation for each part whose keys
+    are all in one state.
+    """
+
+    __slots__ = ()
+
+    def joined(self) -> tuple[Hashable, ...]:
+        """Every part's keys, concatenated in order."""
+        if len(self) == 1:
+            return self[0][0]
+        return tuple(chain.from_iterable(keys for keys, _ in self))
+
+
 class BlockFold:
     """The operator-block charge of a growing sequence of items.
 
@@ -129,19 +160,29 @@ class BlockFold:
     - a tuple object already folded here adds no key (compared by
       ``id``, which is safe because the caller's items keep every
       tuple alive while the fold lives);
-    - a tuple disjoint from the keys seen so far adds all its distinct
-      keys, found with one set operation;
+    - a tuple whose key set is disjoint from the keys seen so far adds
+      all its distinct keys with one set operation;
     - only a tuple that overlaps the seen keys is scanned key by key.
 
+    The fast paths rest on producers sharing one ``block_keys`` tuple
+    object per block family: the family's key set is built once, in
+    ``key_sets`` (``id`` of the tuple -> set), and a dispatcher's plan
+    passes one such dict to all of its folds.  Equal but distinct
+    tuples stay correct, each getting a set of its own.
+
     :meth:`BatchStats.of` and ``HybridDispatcher._running_stats`` share
-    this one dedup rule.
+    this one dedup rule.  :attr:`parts` records each tuple's new keys,
+    in first-use order, as a :data:`BlockPart`.
     """
 
-    __slots__ = ("seen", "_folded")
+    __slots__ = ("seen", "parts", "_key_sets", "_folded")
 
-    def __init__(self) -> None:
-        #: every key folded so far, in first-use order
-        self.seen: dict[Hashable, None] = {}
+    def __init__(self, key_sets: dict[int, frozenset] | None = None) -> None:
+        #: every key folded so far
+        self.seen: set[Hashable] = set()
+        #: each folded tuple's new keys, in first-use order
+        self.parts: list[BlockPart] = []
+        self._key_sets = {} if key_sets is None else key_sets
         self._folded: set[int] = set()
 
     def add(self, item: WorkItem) -> int:
@@ -152,15 +193,24 @@ class BlockFold:
             return 0
         self._folded.add(set_id)
         seen = self.seen
-        new = dict.fromkeys(
-            keys if seen.keys().isdisjoint(keys)
-            else [k for k in keys if k not in seen]
-        )
-        if not new:
-            return 0
-        seen.update(new)
+        family = self._key_sets.get(set_id)
+        if family is None:
+            family = self._key_sets[set_id] = frozenset(keys)
+        if seen.isdisjoint(family):
+            seen |= family
+            n_new = len(family)
+            # a tuple that repeats keys keeps each once, first use first
+            new = keys if n_new == len(keys) else tuple(dict.fromkeys(keys))
+            self.parts.append((new, family))
+        else:
+            found = dict.fromkeys(k for k in keys if k not in seen)
+            if not found:
+                return 0
+            seen.update(found)
+            n_new = len(found)
+            self.parts.append((tuple(found), None))
         per_block = item.block_bytes / len(keys)
-        return int(per_block * len(new))
+        return int(per_block * n_new)
 
 
 @dataclass
@@ -172,7 +222,14 @@ class BatchStats:
     ``block_keys`` that no earlier item used.  A key an item lists twice
     (``BatchedApply`` lists one key per axis, so a displacement with
     equal components repeats keys) is charged once, as ``block_keys``
-    holds it once.
+    holds it once.  ``block_parts`` holds the same keys split by block
+    family (one part per ``block_keys`` tuple that added keys), which
+    is what lets the GPU cache partition a batch a family at a time.
+    Producers sharing one tuple per family give one part, with a set,
+    per family; equal but distinct copies give a part each and stay
+    correct.  ``block_parts`` is left out of equality, as two
+    aggregates with the same keys are equal however their families
+    split them.
     """
 
     n_items: int = 0
@@ -185,14 +242,22 @@ class BatchStats:
     unique_block_bytes: int = 0
     #: the items' unique operator-block keys, in first-use order
     block_keys: tuple[Hashable, ...] = ()
+    #: ``block_keys`` as block-family parts (see :class:`BlockParts`)
+    block_parts: BlockParts = field(
+        default=BlockParts(), compare=False, repr=False
+    )
 
     @classmethod
-    def of(cls, items: list[WorkItem]) -> "BatchStats":
+    def of(
+        cls, items: list[WorkItem], key_sets: dict[int, frozenset] | None = None
+    ) -> "BatchStats":
         """Aggregate ``items``, deduplicating operator-block bytes through
         one :class:`BlockFold` (each block is charged at the per-block
-        size of the item that first uses it)."""
+        size of the item that first uses it).  ``key_sets`` is the
+        block-family set cache the fold shares with a plan's other
+        folds."""
         stats = cls()
-        blocks = BlockFold()
+        blocks = BlockFold(key_sets)
         for it in items:
             stats.n_items += 1
             stats.flops += it.flops
@@ -202,5 +267,6 @@ class BatchStats:
             stats.step_rows = max(stats.step_rows, it.step_rows)
             stats.step_q = max(stats.step_q, it.step_q)
             stats.unique_block_bytes += blocks.add(it)
-        stats.block_keys = tuple(blocks.seen)
+        stats.block_parts = BlockParts(blocks.parts)
+        stats.block_keys = stats.block_parts.joined()
         return stats

@@ -48,9 +48,14 @@ class BatcherError(ReproError, ValueError):
     """The batcher was configured or fed inconsistently."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class SubTask:
-    """One ready work item of one job, queued for dispatch."""
+    """One ready work item of one job, queued for dispatch.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which tripled the cost of building the one
+    sub-task per queued item; nothing assigns to a sub-task's fields.
+    """
 
     job: Job
     item_id: str

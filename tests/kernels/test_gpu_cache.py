@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import HardwareModelError
 from repro.kernels.gpu_cache import GpuBlockCache, TransferTicket
 from repro.operators.cache import CacheStats
+from repro.runtime.task import BatchStats, TaskKind, WorkItem
 
 
 def test_first_transfer_ships_everything():
@@ -219,7 +220,7 @@ def test_rejected_stale_ticket_leaves_other_reservations_intact(verb, stale_keys
 
 class PerKeyCache:
     """Test-only reference: the key-by-key partition, commit and abort
-    the cache used before it partitioned whole batches, with each
+    the cache used before it partitioned block families whole, with each
     in-flight key recording the ticket that ships it, and commit and
     abort landing a ticket only when every one of its ship keys is in
     flight for that very ticket."""
@@ -296,13 +297,31 @@ class PerKeyCache:
 
 _KEY_POOL = "abcdefgh"
 
+_PER_BLOCK = st.sampled_from([0.0, 1.0, 37.5, 100.0, 250.9])
+
+#: a batch's items, each naming one of a few block-family tuples: the
+#: fold makes one part per family, with a set when the family is
+#: disjoint from the keys before it and key by key otherwise
+_families = st.lists(
+    st.lists(st.sampled_from(_KEY_POOL), min_size=1, max_size=4).map(tuple),
+    min_size=1,
+    max_size=4,
+)
+
 _cache_ops = st.lists(
     st.one_of(
         # keys repeat within one batch, and batches overlap on the pool
         st.tuples(
             st.just("begin"),
             st.lists(st.sampled_from(_KEY_POOL), max_size=6),
-            st.sampled_from([0.0, 1.0, 37.5, 100.0, 250.9]),
+            _PER_BLOCK,
+        ),
+        # the same as block-family parts, as the node runtime passes them
+        st.tuples(
+            st.just("begin_parts"),
+            _families,
+            st.lists(st.integers(0, 3), min_size=1, max_size=6),
+            _PER_BLOCK,
         ),
         # any ticket issued so far, so stale and repeated tickets occur
         st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 50)),
@@ -333,13 +352,27 @@ def _state(cache):
 def test_whole_batch_partition_matches_the_per_key_reference(capacity, ops):
     """Random begin/commit/abort sequences, with repeated keys, stale
     tickets and capacity overflow, give the same tickets (key order
-    included), counters, byte totals and errors as the per-key cache."""
+    included), counters, byte totals and errors as the per-key cache,
+    whether a batch's keys come flat or as the block-family parts of a
+    fold: disjoint parts, parts whose keys are in different states, and
+    families that repeat keys or overlap one another."""
     fast, ref = GpuBlockCache(capacity), PerKeyCache(capacity)
     tickets = []  # (fast ticket, reference ticket) of each begin
+    kind = TaskKind("t", 0)
     for op in ops:
-        if op[0] == "begin":
-            _, keys, per_block = op
-            got = _outcome(lambda: fast.begin_transfer(iter(keys), per_block))
+        if op[0].startswith("begin"):
+            if op[0] == "begin":
+                _, keys, per_block = op
+                given_keys = iter(keys)
+            else:
+                _, families, picks, per_block = op
+                picked = [families[i % len(families)] for i in picks]
+                keys = [k for family in picked for k in family]
+                given_keys = BatchStats.of([
+                    WorkItem(kind, block_keys=family, block_bytes=len(family))
+                    for family in picked
+                ]).block_parts
+            got = _outcome(lambda: fast.begin_transfer(given_keys, per_block))
             want = _outcome(lambda: ref.begin_transfer(keys, per_block))
             if got[0] == want[0] == "ok":
                 tickets.append((got[1], want[1]))

@@ -133,8 +133,21 @@ def test_batch_stats_additive(n):
     assert whole.steps == first.steps + second.steps
 
 
-#: BatchStats fields the kernel cost models read (all but block_keys)
-COST_FIELDS = [f.name for f in fields(BatchStats) if f.name != "block_keys"]
+#: BatchStats fields the kernel cost models read (all but the keys)
+COST_FIELDS = [
+    f.name for f in fields(BatchStats)
+    if f.name not in ("block_keys", "block_parts")
+]
+
+
+def assert_parts_join_to_keys(stats: BatchStats) -> None:
+    """``block_parts`` are pairwise disjoint and concatenate to
+    ``block_keys``; a part's set, when it has one, holds its keys."""
+    assert stats.block_parts.joined() == stats.block_keys
+    assert len(set(stats.block_keys)) == len(stats.block_keys)
+    for keys, key_set in stats.block_parts:
+        assert keys
+        assert key_set is None or key_set == set(keys)
 
 
 def per_key_stats(items) -> BatchStats:
@@ -204,10 +217,16 @@ def test_share_aggregates_match_their_reference(items, static_fraction):
     scratch: ``BatchStats.of`` on every field (``block_keys`` order
     included), the split search's running prefixes on every cost field
     (block-byte dedup included), forwards and backwards (its suffixes),
-    and each plan's share stats field for field."""
+    and each plan's share stats field for field, though a plan's folds
+    share one key set per block family.  Every aggregate's family parts
+    join to its ``block_keys``."""
     assert BatchStats.of(items) == per_key_stats(items)
+    shared: dict = {}  # one key set per block family, as a plan shares it
+    whole = BatchStats.of(items, shared)
+    assert whole == per_key_stats(items)
+    assert_parts_join_to_keys(whole)
     for seq in (items, items[::-1]):
-        for i, prefix in enumerate(HybridDispatcher._running_stats(seq)):
+        for i, prefix in enumerate(HybridDispatcher._running_stats(seq, shared)):
             reference = per_key_stats(seq[:i])
             for name in COST_FIELDS:
                 assert getattr(prefix, name) == getattr(reference, name), (i, name)
@@ -229,3 +248,5 @@ def test_share_aggregates_match_their_reference(items, static_fraction):
         assert plan.cpu_items + plan.gpu_items == items
         assert plan.cpu_stats == per_key_stats(plan.cpu_items)
         assert plan.gpu_stats == per_key_stats(plan.gpu_items)
+        assert_parts_join_to_keys(plan.cpu_stats)
+        assert_parts_join_to_keys(plan.gpu_stats)
