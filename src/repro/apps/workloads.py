@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import ClusterConfigError
 from repro.mra.key import Key
@@ -33,26 +34,61 @@ def synthetic_tree_keys(
     proportional to ``weight**skew`` where a leaf's weight decays with a
     random factor from its parent — higher ``skew`` concentrates
     refinement in a few branches, producing the "highly unbalanced tree"
-    of multiresolution chemistry (Figure 1 of the paper).
+    of multiresolution chemistry (Figure 1 of the paper).  A leaf drawn
+    at ``max_level`` is not refined; its weight drops to 0.0.
+
+    Cost per refinement is linear in the leaf count, with small
+    constants: each leaf's ``weight**skew`` is computed once, as a
+    Python float, when the leaf is made, and the prefix sums of those
+    powers are recomputed only from the changed leaf onward.  The leaves
+    stay in creation order (a refined leaf leaves the list, its children
+    join at the end), so each draw is ``random.choices`` over every leaf
+    with the same cumulative weights — the same ``random()`` call picks
+    the same leaf, and the same seed grows the same tree.
+
+    Raises :class:`ClusterConfigError` before growing anything when
+    ``skew`` is negative or ``n_leaves`` exceeds ``2**(dim*max_level)``,
+    the leaf count of the full tree down to ``max_level``.
     """
     if n_leaves < 1:
         raise ClusterConfigError(f"need at least one leaf, got {n_leaves}")
+    if skew < 0:
+        raise ClusterConfigError(f"skew must be >= 0, got {skew}")
+    if n_leaves > 2 ** (dim * max_level):
+        raise ClusterConfigError(
+            f"{n_leaves} leaves do not fit a {dim}-D tree capped at level "
+            f"{max_level} (at most 2**{dim * max_level})"
+        )
     rng = random.Random(seed)
     root = Key.root(dim)
-    leaves: dict[Key, float] = {root: 1.0}
+    # the leaves as parallel lists: key, weight, weight**skew, and the
+    # running sum of the powers that random.choices would accumulate
+    leaves: list[Key] = [root]
+    weights: list[float] = [1.0]
+    powers: list[float] = [1.0**skew]
+    cum_powers: list[float] = list(accumulate(powers))
     keys: list[Key] = [root]
     while len(leaves) < n_leaves:
-        population = list(leaves.items())
-        weights = [w**skew for _k, w in population]
-        (leaf, weight), = rng.choices(population, weights=weights, k=1)
+        (i,) = rng.choices(range(len(leaves)), cum_weights=cum_powers, k=1)
+        leaf, weight = leaves[i], weights[i]
         if leaf.level >= max_level:
-            leaves[leaf] = 0.0
-            continue
-        del leaves[leaf]
-        for child in leaf.children():
-            w = weight * rng.uniform(0.1, 1.0)
-            leaves[child] = w
-            keys.append(child)
+            weights[i] = 0.0
+            powers[i] = 0.0**skew
+        else:
+            del leaves[i], weights[i], powers[i]
+            for child in leaf.children():
+                w = weight * rng.uniform(0.1, 1.0)
+                leaves.append(child)
+                weights.append(w)
+                powers.append(w**skew)
+                keys.append(child)
+        # the sums before leaf i are unchanged; continue from cum_powers[i-1]
+        if i:
+            tail = accumulate(powers[i:], initial=cum_powers[i - 1])
+            next(tail)
+        else:
+            tail = accumulate(powers)
+        cum_powers[i:] = tail
     return keys
 
 

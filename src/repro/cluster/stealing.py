@@ -263,13 +263,15 @@ def locality_preferences(
     """Per-rank locality victim preferences, computed in one pass.
 
     Rank ``r`` prefers the ranks owning anchor subtrees spatially
-    adjacent to its own: the anchor->owner map is built once over all
-    task keys, then each anchor's same-level Chebyshev-1 neighbours
-    that are themselves anchors of the workload vote for their owners.
-    Rank ``r``'s preference tuple is sorted ascending and excludes ``r``
-    itself; a rank with no adjacent foreign anchor has no entry.
+    adjacent to its own: the anchor->owner map is built once over the
+    distinct task keys (many tasks share a key; each key is walked to
+    its anchor once, in first-seen order), then each anchor's same-level
+    Chebyshev-1 neighbours that are themselves anchors of the workload
+    vote for their owners.  Rank ``r``'s preference tuple is sorted
+    ascending and excludes ``r`` itself; a rank with no adjacent foreign
+    anchor has no entry.
     """
-    anchors = {pmap.anchor_of(t.key) for t in tasks}
+    anchors = {pmap.anchor_of(key) for key in dict.fromkeys(t.key for t in tasks)}
     owner_of = {a: pmap.owner(a) for a in anchors}
     prefs: dict[int, set[int]] = {}
     for anchor, rank in owner_of.items():

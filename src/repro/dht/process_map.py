@@ -17,6 +17,7 @@ contrast drives several results:
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 
 from repro.errors import ClusterConfigError
 from repro.dht.hashing import stable_key_hash
@@ -59,6 +60,10 @@ class ProcessMap(abc.ABC):
         calls it from :meth:`_place`, so it runs once per placed key.
         """
         return key
+
+
+#: sort key putting sibling keys in :meth:`Key.children` order
+_translation = attrgetter("translation")
 
 
 def _unit_displacements(dim: int) -> list[tuple[int, ...]]:
@@ -156,6 +161,15 @@ class CostPartitionMap(ProcessMap):
         sizes, so imbalance (and with it the paper's sub-linear scaling)
         grows as ranks are added.  Without it the cap adapts to
         ``n_ranks * granularity``.
+
+        Cost is linear in the weighted keys and their ancestors.  Pushing
+        each weight up its ancestor chain memoizes every key's parent
+        and records the key once in a parent->children index, so the
+        split walk reads a node's children from that index instead of
+        building all 2^d candidates.  It visits them sorted by
+        translation, which is :meth:`Key.children` order, so the anchors,
+        their ranks and their dict order are those of a depth-first walk
+        over ``children()``.
         """
         if granularity <= 0:
             raise ClusterConfigError(
@@ -165,17 +179,26 @@ class CostPartitionMap(ProcessMap):
             raise ClusterConfigError("cost partition needs nonempty weights")
         dim = next(iter(weights)).dim
         # subtree cost = own weight plus descendants': push every key's
-        # weight up its whole ancestor chain
+        # weight up its whole ancestor chain, indexing each key under its
+        # parent the first time the chain passes through it
         subtree: dict[Key, float] = {}
+        parent_of: dict[Key, Key] = {}
+        children_of: dict[Key, list[Key]] = {}
         for key, w in weights.items():
             k = key
             subtree[k] = subtree.get(k, 0.0) + w
             while k.level > 0:
-                k = k.parent()
+                parent = parent_of.get(k)
+                if parent is None:
+                    parent = parent_of[k] = k.parent()
+                    children_of.setdefault(parent, []).append(k)
+                k = parent
                 subtree[k] = subtree.get(k, 0.0) + w
         root = Key.root(dim)
         total = subtree.get(root, 0.0)
-        if total <= 0:
+        # "not >" also rejects a NaN total, so every sum the walk compares
+        # against the cap is ordered
+        if not total > 0:
             raise ClusterConfigError("total weight must be positive")
         if target_chunks is not None:
             if target_chunks < 1:
@@ -189,16 +212,12 @@ class CostPartitionMap(ProcessMap):
         stack = [root]
         while stack:
             key = stack.pop()
-            w = subtree.get(key, 0.0)
-            children = [c for c in key.children() if c in subtree]
-            if w <= cap or not children:
-                anchors[key] = stable_key_hash(key) % n_ranks
-            else:
-                # The split node itself still owns its residual weight
-                # (it is a real tree node); register it so every key on
-                # the tree resolves to an anchor on its ancestor chain.
-                anchors[key] = stable_key_hash(key) % n_ranks
-                stack.extend(children)
+            # A split node itself still owns its residual weight (it is a
+            # real tree node); register it so every key on the tree
+            # resolves to an anchor on its ancestor chain.
+            anchors[key] = stable_key_hash(key) % n_ranks
+            if subtree[key] > cap:
+                stack.extend(sorted(children_of.get(key, ()), key=_translation))
         return cls(n_ranks, anchors)
 
     def anchor_of(self, key: Key) -> Key:

@@ -536,12 +536,14 @@ class JobService:
                 if self.tracer is not None:
                     self.tracer.log_flush(kind, ids, now, batch=index)
                 self._count("serve.batches", now)
-                self._observe("serve.batch_size", now, len(batch))
-                self._observe(
-                    "serve.queue_delay_seconds",
-                    now,
-                    batcher.oldest_wait(now),
-                )
+                if self.registry is not None:
+                    # oldest_wait only feeds the histogram: skip it unobserved
+                    self._observe("serve.batch_size", now, len(batch))
+                    self._observe(
+                        "serve.queue_delay_seconds",
+                        now,
+                        batcher.oldest_wait(now),
+                    )
                 seconds = cfg.batch_overhead_seconds + self.batch_seconds(
                     rank, [t.item for t in batch]
                 )

@@ -1,7 +1,11 @@
 """Tests for synthetic trees and workloads."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.apps import workloads
 from repro.apps.workloads import SyntheticApplyWorkload, synthetic_tree_keys
 from repro.errors import ClusterConfigError
 from repro.mra.key import Key
@@ -53,6 +57,58 @@ def test_leaf_count_reached():
 def test_invalid_leaf_count():
     with pytest.raises(ClusterConfigError):
         synthetic_tree_keys(2, 0, seed=1)
+
+
+class _DrawBudget(random.Random):
+    """A generator that fails a test after 10,000 draws, so a tree that
+    can never be grown fails instead of hanging the suite."""
+
+    def choices(self, *args, **kwargs):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 10_000:
+            raise AssertionError("tree growth did not finish")
+        return super().choices(*args, **kwargs)
+
+
+@pytest.fixture
+def draw_budget(monkeypatch):
+    monkeypatch.setattr(workloads, "random", SimpleNamespace(Random=_DrawBudget))
+
+
+@pytest.mark.parametrize("skew", [2.0, 0.0])
+def test_more_leaves_than_the_level_cap_allows(draw_budget, skew):
+    # a 1-D tree capped at level 2 has at most 4 leaves; before the
+    # check, skew 2 raised random.choices' ValueError and skew 0 never
+    # returned (a capped leaf weighs 0.0**0 == 1.0, so it was redrawn)
+    with pytest.raises(ClusterConfigError, match="at most"):
+        synthetic_tree_keys(1, 5, seed=0, skew=skew, max_level=2)
+    with pytest.raises(ClusterConfigError):
+        synthetic_tree_keys(3, 9, seed=0, skew=skew, max_level=1)
+
+
+@pytest.mark.parametrize("skew", [2.0, 0.0])
+def test_a_full_capped_tree_still_grows(draw_budget, skew):
+    keys = synthetic_tree_keys(1, 4, seed=0, skew=skew, max_level=2)
+    assert sorted(keys) == [Key(0, (0,)), Key(1, (0,)), Key(1, (1,))] + [
+        Key(2, (t,)) for t in range(4)
+    ]
+    full = synthetic_tree_keys(2, 16, seed=3, skew=skew, max_level=2)
+    assert len(full) == 1 + 4 + 16
+    assert max(k.level for k in full) == 2
+
+
+def test_negative_skew_is_rejected(draw_budget):
+    # 0.0 ** -1.0 raised ZeroDivisionError at the first capped leaf
+    with pytest.raises(ClusterConfigError, match="skew"):
+        synthetic_tree_keys(2, 10, seed=0, skew=-1.0, max_level=1)
+    with pytest.raises(ClusterConfigError, match="skew"):
+        synthetic_tree_keys(2, 10, seed=0, skew=-0.5)
+
+
+def test_zero_skew_tree_grows(draw_budget):
+    keys = synthetic_tree_keys(2, 64, seed=5, skew=0.0)
+    assert len(keys) == 1 + 4 * 21
+    assert synthetic_tree_keys(2, 64, seed=5, skew=0.0) == keys
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Tests for the work-stealing scheduler (repro.cluster.stealing)."""
 
 import heapq
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,14 @@ from repro.cluster.stealing import (
     _board_victim,
     locality_preferences,
 )
-from repro.dht.process_map import ProcessMap, SubtreePartitionMap
+from repro.dht.process_map import (
+    CostPartitionMap,
+    HashProcessMap,
+    LevelStripeMap,
+    ProcessMap,
+    SubtreePartitionMap,
+    _unit_displacements,
+)
 from repro.errors import ClusterConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import CheckpointCorruption, GpuFailure, NodeCrash
@@ -329,6 +338,64 @@ def test_locality_preferences_leave_isolated_ranks_out():
     assert prefs == {0: (1,), 1: (0,)}
     # rank 3's box at (3,3) has no neighbour in the key set
     assert 3 not in prefs
+
+
+def reference_locality_preferences(pmap, tasks):
+    """``locality_preferences`` walking every task's key to its anchor,
+    as it did before walking each distinct key once."""
+    anchors = {pmap.anchor_of(t.key) for t in tasks}
+    owner_of = {a: pmap.owner(a) for a in anchors}
+    prefs = {}
+    for anchor, rank in owner_of.items():
+        for displacement in _unit_displacements(anchor.dim):
+            neighbour = anchor.neighbor(displacement)
+            if neighbour is None:
+                continue
+            other = owner_of.get(neighbour)
+            if other is not None and other != rank:
+                prefs.setdefault(rank, set()).add(other)
+    return {rank: tuple(sorted(s)) for rank, s in prefs.items()}
+
+
+@st.composite
+def locality_cases(draw):
+    """A small synthetic workload and a fresh-map factory over it."""
+    workload = SyntheticApplyWorkload(
+        dim=draw(st.integers(1, 3)),
+        k=4,
+        rank=2,
+        n_tasks=draw(st.integers(1, 400)),
+        n_tree_leaves=draw(st.integers(1, 80)),
+        seed=draw(st.integers(0, 2**16)),
+        skew=draw(st.sampled_from([1.0, 2.0, 3.0, 4.0])),
+    )
+    n_ranks = draw(st.integers(1, 40))
+    policy = draw(st.sampled_from(["subtree", "cost", "hash", "stripe", "slot"]))
+    if policy == "subtree":
+        level = draw(st.integers(0, 3))
+        make = partial(SubtreePartitionMap, n_ranks, anchor_level=level)
+    elif policy == "cost":
+        weights = Counter(t.key for t in workload.tasks)
+        chunks = draw(st.integers(1, 60))
+        make = partial(
+            CostPartitionMap.from_weights, n_ranks, weights, target_chunks=chunks
+        )
+    else:
+        cls = {"hash": HashProcessMap, "stripe": LevelStripeMap, "slot": SlotMap}
+        make = partial(cls[policy], n_ranks)
+    return workload.tasks, make
+
+
+@given(locality_cases())
+@settings(max_examples=60, deadline=None)
+def test_locality_preferences_match_per_task_reference(case):
+    tasks, make = case
+    pmap, ref_pmap = make(), make()
+    prefs = locality_preferences(pmap, tasks)
+    expected = reference_locality_preferences(ref_pmap, tasks)
+    assert list(prefs.items()) == list(expected.items())
+    # the same owner() calls, in the same order
+    assert list(pmap._placed.items()) == list(ref_pmap._placed.items())
 
 
 # -- simulation integration --------------------------------------------------------

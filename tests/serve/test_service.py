@@ -223,6 +223,21 @@ def test_edf_prioritizes_interactive_latency():
     assert by_slo["interactive"].latency < by_slo["batch"].latency
 
 
+def test_queue_delay_observed_once_per_batch():
+    # the worker reads batcher.oldest_wait only to feed this histogram,
+    # so it skips the read when no registry is attached
+    registry = MetricsRegistry()
+    result = run_service(small_trace(), registry=registry)
+    assert result.n_batches > 1
+    assert registry.counter("serve.batches").total == float(result.n_batches)
+    for name in ("serve.queue_delay_seconds", "serve.batch_size"):
+        assert registry.histogram(name).count == result.n_batches, name
+    assert registry.histogram("serve.queue_delay_seconds").percentile(0.0) >= 0.0
+    bare = run_service(small_trace())
+    assert bare.n_batches == result.n_batches
+    assert bare.outcomes == result.outcomes
+
+
 def test_metrics_cover_the_ledger():
     registry = MetricsRegistry()
     result = run_service(small_trace(), registry=registry)
