@@ -6,8 +6,8 @@ paper-vs-measured report table, and asserts only the *shape* claims
 (who wins, by roughly what factor, where scaling stops) — absolute
 seconds are model outputs, anchored as documented in EXPERIMENTS.md.
 
-``REPRO_BENCH_SCALE`` (float, default 1.0) scales workload task counts
-for quick runs, e.g. ``REPRO_BENCH_SCALE=0.1 pytest benchmarks/``.
+``REPRO_BENCH_SCALE`` (a finite float > 0, default 1.0) scales workload
+task counts for quick runs, e.g. ``REPRO_BENCH_SCALE=0.1 pytest benchmarks/``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,17 @@ import os
 
 import pytest
 
+from repro.experiments.common import parse_scale
+
 
 def bench_scale() -> float:
-    """The workload scale factor from ``REPRO_BENCH_SCALE`` (default 1)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    """The workload scale factor from ``REPRO_BENCH_SCALE`` (default 1);
+    any other value than a finite number > 0 raises ``ValueError``."""
+    text = os.environ.get("REPRO_BENCH_SCALE", "1.0")
+    try:
+        return parse_scale(text)
+    except ValueError as err:
+        raise ValueError(f"REPRO_BENCH_SCALE: {err}") from None
 
 
 def scaled(n_tasks: int) -> int:

@@ -16,7 +16,6 @@ from repro.apps.workloads import (
     ClusterTask,
     SyntheticApplyWorkload,
     synthetic_tree_keys,
-    tasks_from_function,
 )
 from repro.apps.coulomb import CoulombApplication
 from repro.apps.tdse import TdseApplication
@@ -25,7 +24,6 @@ __all__ = [
     "ClusterTask",
     "SyntheticApplyWorkload",
     "synthetic_tree_keys",
-    "tasks_from_function",
     "CoulombApplication",
     "TdseApplication",
 ]

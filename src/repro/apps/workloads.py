@@ -199,79 +199,3 @@ class SyntheticApplyWorkload:
             if neighbor is not None:
                 return neighbor
         return key
-
-    # -- views --------------------------------------------------------------------
-
-    def task_count_by_level(self) -> dict[int, int]:
-        """Histogram of task counts per tree level (sorted by level)."""
-        hist: dict[int, int] = {}
-        for t in self.tasks:
-            hist[t.key.level] = hist.get(t.key.level, 0) + 1
-        return dict(sorted(hist.items()))
-
-
-def tasks_from_function(f, op) -> list[ClusterTask]:
-    """The *real* task stream of ``op.apply(f)`` as cluster tasks.
-
-    Walks the function's nonstandard form with the operator's actual
-    displacement and rank screening and emits one cost-faithful
-    :class:`ClusterTask` per surviving (source node, displacement) pair —
-    so cluster experiments can run on genuine (not synthetic) trees.
-    The function itself is not modified.
-    """
-    import numpy as np
-
-    from repro.mra.function import scaling_corner
-    from repro.operators.convolution import _NORM_FLOOR
-
-    src = f.copy()
-    src.nonstandard()
-    dim, k = op.dim, op.k
-    q = 2 * k
-    corner = scaling_corner(dim, k)
-    tol = op.thresh
-    rank = max(1, op.expansion.rank)
-    tasks: list[ClusterTask] = []
-    block_tuples: dict[tuple, tuple] = {}
-    for key, node in src.tree.by_level():
-        if node.coeffs is None:
-            continue
-        chat_norm = float(np.linalg.norm(node.coeffs))
-        if chat_norm == 0.0:
-            continue
-        table = op.level_table(key.level)
-        tol_task = tol / max(1, len(table.pairs))
-        for (delta, opnorm), norms_mu in zip(table.pairs, table.terms):
-            if opnorm * chat_norm < tol_task:
-                continue
-            neighbor = key.neighbor(delta)
-            if neighbor is None:
-                continue
-            mu_tol = tol_task / (max(chat_norm, _NORM_FLOOR) * rank)
-            kept = int((norms_mu > mu_tol).sum())
-            if kept == 0:
-                continue
-            steps = kept * dim
-            rows = q ** (dim - 1)
-            flops = int(steps * 2 * rows * q * q * (1.0 + 2.0 ** -(dim + 1)))
-            cache_key = (key.level, delta, kept)
-            blocks = block_tuples.get(cache_key)
-            if blocks is None:
-                blocks = tuple((key.level, delta, mu) for mu in range(kept))
-                block_tuples[cache_key] = blocks
-            tensor_bytes = (q**dim) * 8
-            item = WorkItem(
-                kind=TaskKind("integral_compute", (key.level, dim, q)),
-                flops=flops,
-                input_bytes=tensor_bytes,
-                output_bytes=tensor_bytes,
-                block_keys=blocks,
-                block_bytes=kept * q * q * 8,
-                steps=steps,
-                step_rows=rows,
-                step_q=q,
-            )
-            tasks.append(ClusterTask(key=key, neighbor=neighbor, item=item))
-    return tasks
-
-

@@ -17,7 +17,6 @@ import numpy as np
 from repro.dht.process_map import ProcessMap
 from repro.errors import ClusterConfigError
 from repro.mra.key import Key
-from repro.mra.node import FunctionNode
 from repro.mra.tree import FunctionTree
 
 
@@ -59,33 +58,6 @@ class DistributedTree:
             )
         return rank
 
-    def shard(self, rank: int) -> FunctionTree:
-        """The local tree shard of one rank."""
-        return self.shards[rank]
-
-    # -- global views ---------------------------------------------------------
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.shards[self.owner(key)]
-
-    def get(self, key: Key) -> FunctionNode | None:
-        """The node stored under ``key`` on its owning shard, if any."""
-        return self.shards[self.owner(key)].get(key)
-
-    def insert(self, key: Key, node: FunctionNode) -> int:
-        """Place a node on its owner; returns the owning rank."""
-        rank = self.owner(key)
-        self.shards[rank][key] = node
-        return rank
-
-    def size(self) -> int:
-        """Total node count across every shard."""
-        return sum(len(s) for s in self.shards)
-
-    def shard_sizes(self) -> list[int]:
-        """Per-rank node counts (the load-balance view)."""
-        return [len(s) for s in self.shards]
-
     # -- the operation the cluster runtime needs ---------------------------------
 
     def accumulate(self, key: Key, tensor: np.ndarray, from_rank: int) -> int:
@@ -96,14 +68,6 @@ class DistributedTree:
             self.messages.record(from_rank, rank, tensor.nbytes)
         self.shards[rank].ensure_path(key).accumulate(tensor)
         return rank
-
-    @classmethod
-    def scatter(cls, tree: FunctionTree, pmap: ProcessMap) -> "DistributedTree":
-        """Shard an existing tree (keys keep their nodes, moved by owner)."""
-        dist = cls(tree.dim, pmap)
-        for key, node in tree.items():
-            dist.shards[dist.owner(key)][key] = node.copy()
-        return dist
 
     def gather(self) -> FunctionTree:
         """Reassemble the global tree (for verification)."""

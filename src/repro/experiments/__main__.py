@@ -14,6 +14,14 @@ import sys
 import time
 
 from repro.experiments import REGISTRY
+from repro.experiments.common import parse_scale
+
+
+def _scale(text: str) -> float:
+    try:
+        return parse_scale(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,9 +37,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
-        help="workload scale factor (default 1.0 = paper size)",
+        help="workload scale factor, finite and > 0 (default 1.0 = paper size)",
     )
     args = parser.parse_args(argv)
 

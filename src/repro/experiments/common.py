@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -37,6 +38,23 @@ class ExperimentResult:
         self.table.print()
         for extra in self.extra_tables:
             extra.print()
+
+
+def parse_scale(text: str) -> float:
+    """A workload scale factor given from outside the program (the CLI's
+    ``--scale``, the benchmarks' ``REPRO_BENCH_SCALE``).
+
+    Raises ``ValueError`` unless ``text`` is a finite number greater
+    than 0: :func:`scaled` would floor a zero or negative scale at 100
+    tasks without a word, and ``nan`` or ``inf`` fail inside a runner.
+    """
+    try:
+        scale = float(text)
+    except ValueError:
+        raise ValueError(f"scale must be a number, got {text!r}") from None
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and greater than 0, got {text!r}")
+    return scale
 
 
 def scaled(n_tasks: int, scale: float) -> int:

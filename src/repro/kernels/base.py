@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import TensorShapeError
 from repro.runtime.task import BatchStats, WorkItem
-from repro.tensor.flops import add_flops, formula1_flops
 from repro.tensor.transform import transform_seq
 
 
@@ -73,14 +72,11 @@ def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
     ``matmul``: the batched form of the ``mtxmq`` rotation, which
     contracts the leading tensor axis and puts the new one last, for
     every rank term in one call.  After ``d`` steps the axes are back in
-    order and one ``tensordot`` folds in the coefficients.  FLOPs are
-    recorded as :func:`~repro.tensor.flops.formula1_flops`, what the
-    per-term chain costs on the modeled hardware.
+    order and one ``tensordot`` folds in the coefficients.
     """
     s = payload.s
     m = payload.rank
     q = s.shape[0]
-    add_flops(formula1_flops(s.ndim, q, m), "formula1")
     if m == 0:
         return np.zeros_like(s)
     h = np.array(payload.factors)

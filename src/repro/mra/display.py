@@ -1,25 +1,14 @@
 """Text rendering of adaptive trees.
 
 The paper's Figure 1 shows the telescoping grids of MRA; these helpers
-render the same information for a real function as terminal text — a
-per-level bar chart of box counts and an occupancy strip showing where
-on the unit interval each level refines (1-D projection of the tree).
+render the same information for a real function as terminal text — an
+occupancy strip showing where on the unit interval each level refines
+(1-D projection of the tree) and a one-line summary.
 """
 
 from __future__ import annotations
 
 from repro.mra.function import MultiresolutionFunction
-
-
-def level_histogram_chart(f: MultiresolutionFunction, width: int = 50) -> str:
-    """Bar chart of node counts per refinement level."""
-    hist = f.tree.level_histogram()
-    peak = max(hist.values())
-    lines = ["level  nodes"]
-    for level, count in hist.items():
-        bar = "#" * max(1, round(count / peak * width))
-        lines.append(f"{level:>5}  {count:>6} {bar}")
-    return "\n".join(lines)
 
 
 def occupancy_strip(

@@ -297,19 +297,6 @@ class MultiresolutionFunction:
             val = np.tensordot(val, basis, axes=([0], [0]))
         return float(val) * 2.0 ** (key.level * self.dim / 2.0)
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at many points: ``points`` is ``(N, dim)``.
-
-        Convenience wrapper over :meth:`eval` (per-point tree descent);
-        points outside the unit cube evaluate to 0.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise OperatorError(
-                f"expected points of shape (N, {self.dim}), got {points.shape}"
-            )
-        return np.array([self.eval(tuple(p)) for p in points])
-
     def norm2(self) -> float:
         """L2 norm, exact in either form thanks to basis orthonormality."""
         if self.form == RECONSTRUCTED:
@@ -397,17 +384,6 @@ class MultiresolutionFunction:
         for key, node in a.tree.leaves():
             node.coeffs = node.coeffs + sign * b.tree[key].coeffs
         return a
-
-    def inner(self, other: "MultiresolutionFunction") -> float:
-        """L2 inner product via conforming leaf sets."""
-        a = self.copy()
-        b = other.copy()
-        a.conform_to(b)
-        b.conform_to(a)
-        total = 0.0
-        for key, node in a.tree.leaves():
-            total += float(np.vdot(node.coeffs, b.tree[key].coeffs).real)
-        return total
 
     # -- statistics -----------------------------------------------------------------
 
@@ -587,26 +563,6 @@ class FunctionFactory:
         )
         fn.tree.check_structure()
         return fn
-
-    def uniform(
-        self, f: Callable[[np.ndarray], np.ndarray], level: int
-    ) -> MultiresolutionFunction:
-        """Project ``f`` on the uniform grid at ``level`` (for testing)."""
-        tree = FunctionTree(self.dim)
-        keys = [Key.root(self.dim)]
-        for _ in range(level):
-            keys = [c for k in keys for c in k.children()]
-        coeffs = self._project(f, level, np.array([key.translation for key in keys]))
-        for key, s in zip(keys, coeffs):
-            tree.ensure_path(key).coeffs = s
-        return MultiresolutionFunction(
-            self.dim,
-            self.k,
-            tree,
-            thresh=self.thresh,
-            form=RECONSTRUCTED,
-            truncate_mode=self.truncate_mode,
-        )
 
     def zero(self) -> MultiresolutionFunction:
         """The zero function (a single root leaf of zero coefficients)."""

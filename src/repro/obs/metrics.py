@@ -31,7 +31,8 @@ from repro.errors import ReproError
 
 
 class MetricsError(ReproError, ValueError):
-    """An invalid metrics operation (bad name, type clash, bad merge)."""
+    """An invalid metrics operation (type clash, negative increment, bad
+    percentile or offset)."""
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -51,16 +52,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-def _deltas(samples: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Per-sample increments of a counter's (at, running-total) stream."""
-    prev = 0.0
-    out = []
-    for at, total in samples:
-        out.append((at, total - prev))
-        prev = total
-    return out
 
 
 @dataclass
@@ -227,35 +218,6 @@ class MetricsRegistry:
         the run's global timeline.
         """
         return ShiftedRegistry(self, offset)
-
-    # -- cross-rank aggregation ---------------------------------------------------
-
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's samples into this one.
-
-        Counters re-accumulate on the merged sample sequence (sorted by
-        instant), gauges interleave their level changes, histograms
-        concatenate observations.  Used to aggregate per-rank registries
-        into one cluster-wide view.
-        """
-        for name, counter in other.counters.items():
-            mine = self.counter(name)
-            flat = sorted(_deltas(mine.samples) + _deltas(counter.samples))
-            total = 0.0
-            rebuilt: list[tuple[float, float]] = []
-            for at, delta in flat:
-                total += delta
-                rebuilt.append((at, total))
-            mine.samples = rebuilt
-            mine.total = total
-        for name, gauge in other.gauges.items():
-            mine_g = self.gauge(name)
-            mine_g.samples = sorted(mine_g.samples + gauge.samples)
-            if mine_g.samples:
-                mine_g.value = mine_g.samples[-1][1]
-        for name, hist in other.histograms.items():
-            mine_h = self.histogram(name)
-            mine_h.samples = sorted(mine_h.samples + hist.samples)
 
     # -- serialization ------------------------------------------------------------
 

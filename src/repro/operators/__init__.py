@@ -25,13 +25,10 @@ from repro.operators.convolution import (
     GaussianConvolution,
     sum_down_ns,
 )
-from repro.operators.tree_ops import DistributedTreeOps, TreeOpResult
 
 __all__ = [
     "ApplyStats",
     "sum_down_ns",
-    "DistributedTreeOps",
-    "TreeOpResult",
     "GaussianExpansion",
     "fit_inverse_r",
     "gaussian_block_1d",

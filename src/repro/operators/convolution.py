@@ -40,7 +40,6 @@ from repro.operators.blocks import gaussian_blocks_1d, ns_block_from_children
 from repro.operators.cache import OperatorBlockCache
 from repro.operators.displacements import ring_offsets
 from repro.operators.gaussian_fit import GaussianExpansion, fit_inverse_r
-from repro.tensor.flops import add_flops, formula1_flops
 from repro.tensor.transform import transform
 
 #: absolute floor below which an operator block is treated as exactly zero.
@@ -290,7 +289,7 @@ class GaussianConvolution:
         identical to the per-task kernel loop but amortising NumPy call
         overhead across the whole batch (this is also exactly the data
         aggregation the paper performs before shipping a batch to the
-        GPU).  FLOPs are accounted per executed rank term.
+        GPU).
         """
         block = self.ns_block if ns else self.r_block
         out = np.zeros_like(batch)
@@ -303,11 +302,6 @@ class GaussianConvolution:
                 # lands last, rotating the tensor axes exactly as mtxmq.
                 t = np.tensordot(t, m, axes=([1], [1]))
             out += float(self.expansion.coeffs[mu]) * t
-        q = batch.shape[1]
-        add_flops(
-            batch.shape[0] * formula1_flops(self.dim, q, int(len(keep))),
-            "formula1",
-        )
         return out
 
     # -- reference Apply (paper Algorithms 1-2) ----------------------------------

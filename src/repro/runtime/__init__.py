@@ -36,7 +36,6 @@ _LAZY = {
     "TransferPlan": "repro.runtime.buffers",
     "HybridDispatcher": "repro.runtime.dispatcher",
     "AdaptiveDispatcher": "repro.runtime.dispatcher",
-    "StaticSplitDispatcher": "repro.runtime.dispatcher",
     "optimal_split": "repro.runtime.dispatcher",
     "overlap_time": "repro.runtime.dispatcher",
     "NodeRuntime": "repro.runtime.node",
@@ -75,7 +74,6 @@ __all__ = [
     "TransferPlan",
     "HybridDispatcher",
     "AdaptiveDispatcher",
-    "StaticSplitDispatcher",
     "optimal_split",
     "overlap_time",
     "NodeRuntime",

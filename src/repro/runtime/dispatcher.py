@@ -237,22 +237,6 @@ class HybridDispatcher:
         return best_cut
 
     @staticmethod
-    def _flops_cut(items: list[WorkItem], cpu_fraction: float) -> int:
-        """Length of the CPU's prefix by cumulative FLOPs (stable order)."""
-        total = sum(it.flops for it in items)
-        if total == 0:
-            return int(round(cpu_fraction * len(items)))
-        target = cpu_fraction * total
-        acc = 0
-        cut = 0
-        for i, it in enumerate(items):
-            if acc + it.flops / 2.0 > target:
-                break
-            acc += it.flops
-            cut = i + 1
-        return cut
-
-    @staticmethod
     def _running_stats(
         items: list[WorkItem], key_sets: dict[int, frozenset] | None = None
     ) -> list[BatchStats]:
@@ -276,51 +260,6 @@ class HybridDispatcher:
             )
             out.append(acc)
         return out
-
-
-class StaticSplitDispatcher(HybridDispatcher):
-    """A dispatcher with a developer-chosen fixed CPU fraction.
-
-    The paper's extensions let the algorithm developer set the ratio by
-    hand: "by knowing the relative performance of the GPU code compared
-    to the CPU code for a certain operator, a MADNESS developer can
-    decide what is the ratio of CPU to GPU work."  This variant applies
-    that fixed fraction to every batch — useful as a baseline against
-    the measuring dispatcher, and as the paper's actual deployment mode.
-    """
-
-    def __init__(
-        self,
-        cpu_kernel: ComputeKernel,
-        gpu_kernel: ComputeKernel,
-        *,
-        cpu_fraction: float,
-        cpu_threads: int,
-        gpu_streams: int,
-    ):
-        if not 0.0 <= cpu_fraction <= 1.0:
-            raise RuntimeConfigError(
-                f"cpu_fraction must be in [0, 1], got {cpu_fraction}"
-            )
-        super().__init__(
-            cpu_kernel,
-            gpu_kernel,
-            cpu_threads=cpu_threads,
-            gpu_streams=gpu_streams,
-            mode="hybrid",
-        )
-        self.cpu_fraction = cpu_fraction
-
-    def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
-        """Split the batch at the fixed developer-chosen CPU fraction."""
-        items = batch.items
-        key_sets: dict[int, frozenset] = {}
-        stats = BatchStats.of(items, key_sets)
-        m, n = self.device_estimates(stats, transfer_estimator)
-        cut = self._flops_cut(items, self.cpu_fraction)
-        return self._cut_plan(
-            items, cut, stats, m, n, self.cpu_fraction, key_sets
-        )
 
 
 class AdaptiveDispatcher(HybridDispatcher):

@@ -176,12 +176,6 @@ class NodeTimeline:
     n_rolled_back_items: int = 0
     n_replayed_items: int = 0
 
-    @property
-    def cpu_fraction_sent(self) -> float:
-        """Fraction of all dispatched items that ran on the CPU."""
-        total = self.n_cpu_items + self.n_gpu_items
-        return self.n_cpu_items / total if total else 0.0
-
 
 @dataclass
 class _Pools:

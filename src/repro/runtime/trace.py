@@ -17,8 +17,7 @@ shipped twice.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -150,36 +149,6 @@ class RuntimeLogRecord:
             raise SimulationError(
                 f"negative attempt {self.attempt} in runtime log record"
             )
-
-    def to_json(self) -> str:
-        """One JSON line (block keys stringified for portability)."""
-        return json.dumps(
-            {
-                "op": self.op,
-                "at": self.at,
-                "kind": self.kind,
-                "ids": [str(i) for i in self.ids],
-                "attempt": self.attempt,
-                "batch": self.batch,
-            }
-        )
-
-
-def log_records_from_jsonl(lines: Iterable[str]) -> Iterator[RuntimeLogRecord]:
-    """Parse records serialised by :meth:`RuntimeLogRecord.to_json`."""
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        raw = json.loads(line)
-        yield RuntimeLogRecord(
-            op=raw["op"],
-            at=raw["at"],
-            kind=raw["kind"],
-            ids=tuple(raw["ids"]),
-            attempt=raw.get("attempt", 0),
-            batch=raw.get("batch", -1),
-        )
 
 
 def union_length(intervals: list[tuple[float, float]]) -> float:

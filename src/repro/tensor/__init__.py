@@ -9,41 +9,31 @@ the inner loop of the paper's Formula 1.
 
 This subpackage provides:
 
-- :func:`repro.tensor.mtxm.mtxmq` — the primitive contraction, with FLOP
-  accounting;
+- :func:`repro.tensor.mtxm.mtxmq` — the primitive contraction;
 - :func:`repro.tensor.transform.transform` — the full d-dimensional
-  transform built from ``mtxmq``;
-- :class:`repro.tensor.separated.SeparatedTerm` and
-  :func:`repro.tensor.separated.apply_separated` — the rank-``M`` sum of
-  Formula 1;
+  transform built from ``mtxmq``, and ``transform_seq`` with one matrix
+  per dimension (one rank term of Formula 1);
 - :mod:`repro.tensor.rank_reduction` — the paper's CPU-side optimisation
-  that truncates negligible rows/columns before multiplying.
+  that truncates negligible rows/columns before multiplying, and the
+  FLOP count of a truncated multiply.
 """
 
-from repro.tensor.flops import FlopCounter, flop_counter, formula1_flops, mtxm_flops
-from repro.tensor.mtxm import mtxmq, mtxmq_transpose
-from repro.tensor.transform import transform, transform_dim, transform_seq, inner_product
-from repro.tensor.separated import SeparatedTerm, apply_separated
+from repro.tensor.mtxm import mtxmq
+from repro.tensor.transform import transform, transform_dim, transform_seq
 from repro.tensor.rank_reduction import (
     effective_rank,
+    mtxm_flops,
     pad_reduced_result,
     rank_reduce_pair,
     reduced_transform_flops,
 )
 
 __all__ = [
-    "FlopCounter",
-    "flop_counter",
-    "formula1_flops",
     "mtxm_flops",
     "mtxmq",
-    "mtxmq_transpose",
     "transform",
     "transform_dim",
     "transform_seq",
-    "inner_product",
-    "SeparatedTerm",
-    "apply_separated",
     "effective_rank",
     "pad_reduced_result",
     "rank_reduce_pair",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TensorShapeError
-from repro.tensor.flops import add_flops, mtxm_flops
 
 
 def _check_2d(name: str, a: np.ndarray) -> None:
@@ -48,23 +47,4 @@ def mtxmq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise TensorShapeError(
             f"mtxmq inner dimension mismatch: a is {a.shape}, b is {b.shape}"
         )
-    add_flops(mtxm_flops(a.shape[1], a.shape[0], b.shape[1]), "mtxmq")
     return a.T @ b
-
-
-def mtxmq_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Like :func:`mtxmq` but contracts with the transpose of ``b``.
-
-    Computes ``C[i, j] = sum_a A[a, i] * B[j, a]`` — used when an operator
-    must be applied in its adjoint orientation (e.g. the analysis direction
-    of the two-scale filter).
-    """
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape[0] != b.shape[1]:
-        raise TensorShapeError(
-            f"mtxmq_transpose inner dimension mismatch: a is {a.shape}, "
-            f"b is {b.shape}"
-        )
-    add_flops(mtxm_flops(a.shape[1], a.shape[0], b.shape[0]), "mtxmq")
-    return a.T @ b.T

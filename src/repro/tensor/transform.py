@@ -18,7 +18,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import TensorShapeError
-from repro.tensor.flops import add_flops
 from repro.tensor.mtxm import mtxmq
 
 
@@ -86,11 +85,3 @@ def transform_seq(s: np.ndarray, hs: Sequence[np.ndarray]) -> np.ndarray:
     for h in hs:
         r = transform_dim(r, h)
     return r
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product of two equal-shape tensors."""
-    if a.shape != b.shape:
-        raise TensorShapeError(f"inner product shape mismatch: {a.shape} vs {b.shape}")
-    add_flops(2 * a.size, "inner")
-    return float(np.vdot(a, b).real)

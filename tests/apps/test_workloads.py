@@ -174,11 +174,6 @@ def test_determinism_of_workload():
     assert [t.key for t in a.tasks] == [t.key for t in b.tasks]
 
 
-def test_task_count_by_level_sums(workload):
-    hist = workload.task_count_by_level()
-    assert sum(hist.values()) == 5000
-
-
 def test_invalid_workload():
     with pytest.raises(ClusterConfigError):
         SyntheticApplyWorkload(dim=0, k=5, rank=10, n_tasks=10)

@@ -446,8 +446,8 @@ def test_runtime_and_analytic_executors_agree_roughly():
 
 def _screened_item(kept: int) -> WorkItem:
     """A dim-3, k=6 integral task whose operator screening kept ``kept``
-    separated terms.  As in ``tasks_from_function``, all tasks of one
-    tree level share one kind, whatever their screened rank."""
+    separated terms.  As in ``BatchedApply``'s task generation, all tasks
+    of one tree level share one kind, whatever their screened rank."""
     q, dim = 12, 3
     steps = kept * dim
     return WorkItem(

@@ -1,7 +1,6 @@
 """Tests for the sharded distributed tree."""
 
 import numpy as np
-import pytest
 
 from repro.dht.distributed_tree import DistributedTree
 from repro.dht.process_map import HashProcessMap
@@ -26,23 +25,32 @@ def build_local_tree(dim=2, depth=2):
     return tree
 
 
-def test_scatter_places_by_owner():
+def accumulate_leaves(tree, pmap, from_rank=0):
+    """Fill a distributed tree the way ``DistributedApply`` does: one
+    ``accumulate`` per leaf contribution."""
+    dist = DistributedTree(tree.dim, pmap)
+    for key, node in tree.leaves():
+        dist.accumulate(key, node.coeffs, from_rank=from_rank)
+    return dist
+
+
+def test_accumulate_places_by_owner():
     tree = build_local_tree()
     pmap = HashProcessMap(4)
-    dist = DistributedTree.scatter(tree, pmap)
-    assert dist.size() == tree.size()
+    dist = accumulate_leaves(tree, pmap)
     for rank, shard in enumerate(dist.shards):
-        for key in shard:
+        for key, _node in shard.leaves():
             assert pmap.owner(key) == rank
 
 
 def test_gather_roundtrip():
     tree = build_local_tree()
-    dist = DistributedTree.scatter(tree, HashProcessMap(3))
+    dist = accumulate_leaves(tree, HashProcessMap(3))
     back = dist.gather()
     assert back.size() == tree.size()
     for key, node in tree.items():
         other = back[key]
+        assert other.has_children == node.has_children
         if node.coeffs is None:
             assert other.coeffs is None
         else:
@@ -74,24 +82,4 @@ def test_accumulate_sums_contributions():
     key = Key(2, (1,))
     dist.accumulate(key, np.ones(3), from_rank=0)
     dist.accumulate(key, np.ones(3), from_rank=1)
-    node = dist.get(key)
-    assert np.all(node.coeffs == 2.0)
-
-
-def test_insert_returns_owner():
-    dist = DistributedTree(1, HashProcessMap(3))
-    key = Key(1, (1,))
-    rank = dist.insert(key, FunctionNode())
-    assert rank == dist.owner(key)
-    assert key in dist
-
-
-def test_shard_sizes():
-    tree = build_local_tree()
-    dist = DistributedTree.scatter(tree, HashProcessMap(4))
-    assert sum(dist.shard_sizes()) == tree.size()
-
-
-def test_get_missing_returns_none():
-    dist = DistributedTree(1, HashProcessMap(2))
-    assert dist.get(Key(1, (0,))) is None
+    assert np.all(dist.gather()[key].coeffs == 2.0)

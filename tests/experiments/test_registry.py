@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.conftest import bench_scale
 from repro.experiments import REGISTRY
 from repro.experiments.__main__ import main
 from repro.experiments.common import ExperimentResult, scaled
@@ -58,3 +59,31 @@ def test_cli_rejects_unknown(capsys):
 def test_cli_scale_flag(capsys):
     assert main(["ablation-transfers", "--scale", "0.5"]) == 0
     assert "Ablation" in capsys.readouterr().out
+
+
+BAD_SCALES = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("bad", BAD_SCALES)
+def test_cli_rejects_bad_scale(bad, capsys):
+    """A scale that is not finite and > 0 is a usage error (exit 2), not a
+    silent 100-task floor or a traceback from inside a runner."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["table1", "--scale", bad])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--scale" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", BAD_SCALES)
+def test_bench_scale_rejects_bad_values(bad, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", bad)
+    with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
+        bench_scale()
+
+
+def test_bench_scale_reads_a_good_value(monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
+    assert bench_scale() == pytest.approx(0.25)
+    monkeypatch.delenv("REPRO_BENCH_SCALE")
+    assert bench_scale() == pytest.approx(1.0)

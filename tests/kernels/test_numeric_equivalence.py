@@ -13,7 +13,6 @@ from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.task import TaskKind, WorkItem
-from repro.tensor.flops import flop_counter, formula1_flops
 
 
 def payload_item(seed: int, dim: int = 2, q: int = 6, rank: int = 3) -> WorkItem:
@@ -70,17 +69,6 @@ def test_equivalence_property(seed, dim, q, rank):
     assert np.array_equal(cpu, custom)
     assert np.array_equal(cpu, cublas)
     assert np.allclose(cpu, reference, atol=1e-9)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_kernels_record_formula1_flops(dim):
-    """Every kernel counts the same FLOPs as ``formula1_flops``."""
-    item = payload_item(5, dim=dim, q=6, rank=3)
-    for kernel in exact_kernels():
-        with flop_counter() as counter:
-            kernel.run_item(item)
-        assert counter.by_label == {"formula1": formula1_flops(dim, 6, 3)}, kernel.name
-        assert counter.flops == formula1_flops(dim, 6, 3), kernel.name
 
 
 def test_rank_reduced_cpu_close_but_cheaper():

@@ -10,11 +10,7 @@ from repro.lint.trace_check import (
     find_violations,
     verify_tracer,
 )
-from repro.runtime.trace import (
-    RuntimeLogRecord,
-    Tracer,
-    log_records_from_jsonl,
-)
+from repro.runtime.trace import RuntimeLogRecord, Tracer
 
 
 def rec(op, at, kind="k", ids=(), attempt=0):
@@ -143,23 +139,6 @@ class TestViolations:
         assert len(err.value.violations) == 10
 
 
-class TestSerialization:
-    def test_jsonl_round_trip(self):
-        original = good_log()
-        text = [r.to_json() for r in original] + ["", "  "]
-        parsed = list(log_records_from_jsonl(text))
-        assert len(parsed) == len(original)
-        # ids are stringified on serialisation; structure must survive
-        assert find_violations(parsed) == []
-        assert [r.op for r in parsed] == [r.op for r in original]
-
-    def test_unknown_op_rejected(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            rec("teleport", 0.0)
-
-
 # -- effectively-exactly-once accumulation (fault injection) ------------------------
 
 
@@ -234,20 +213,15 @@ class TestExactlyOnceAccumulation:
         violations = find_violations(log)
         assert any("justified by a fault" in v for v in violations)
 
-    def test_attempt_round_trips_through_jsonl(self):
-        log = fault_log()
-        lines = [r.to_json() for r in log]
-        parsed = list(log_records_from_jsonl(lines))
-        assert [r.attempt for r in parsed] == [r.attempt for r in log]
-
-    def test_legacy_jsonl_defaults_attempt_zero(self):
-        line = '{"op": "submit", "at": 0.0, "kind": "a", "ids": ["1"]}'
-        (parsed,) = log_records_from_jsonl([line])
-        assert parsed.attempt == 0
-
     def test_negative_attempt_rejected(self):
         with pytest.raises(Exception):
             rec("gpu_compute", 0.0, "a", attempt=-1)
+
+    def test_unknown_op_rejected(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError):
+            rec("teleport", 0.0)
 
 
 def recovery_log():

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.mra.display import level_histogram_chart, occupancy_strip, tree_summary
-
-
-def test_histogram_chart_rows_match_levels(f1d):
-    chart = level_histogram_chart(f1d)
-    hist = f1d.tree.level_histogram()
-    # header + one row per level
-    assert len(chart.splitlines()) == 1 + len(hist)
-    for level, count in hist.items():
-        assert str(count) in chart
+from repro.mra.display import occupancy_strip, tree_summary
 
 
 def test_occupancy_strip_marks_center(f1d):
@@ -41,21 +32,6 @@ def test_every_level_with_leaves_appears(f2d):
     leaf_levels = {k.level for k, _n in f2d.tree.leaves()}
     for level in leaf_levels:
         assert f"L{level:<2}" in strip
-
-
-def test_histogram_bars_scale_with_counts(f1d):
-    chart = level_histogram_chart(f1d, width=40)
-    hist = f1d.tree.level_histogram()
-    bars = {
-        int(line.split()[0]): line.split()[-1]
-        for line in chart.splitlines()[1:]
-    }
-    peak = max(hist.values())
-    for level, count in hist.items():
-        # every level draws at least one mark; the peak fills the width
-        assert 1 <= len(bars[level]) <= 40
-        if count == peak:
-            assert len(bars[level]) == 40
 
 
 def test_occupancy_strip_negative_axis_rejected(f2d):

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from repro.errors import OperatorError
-from repro.mra.function import FunctionFactory
 from tests.conftest import gaussian_1d
 
 ALPHA = 300.0
@@ -104,11 +103,6 @@ def test_addition_and_subtraction(f1d, factory_1d):
     assert np.isclose(diff.eval((x,)), f1d.eval((x,)), atol=1e-8)
 
 
-def test_inner_product(f1d):
-    """<f, f> equals the squared norm."""
-    assert np.isclose(f1d.inner(f1d), f1d.norm2() ** 2, atol=1e-10)
-
-
 def test_single_leaf_tree_compress_roundtrip(factory_1d):
     z = factory_1d.zero()
     z.compress()
@@ -118,12 +112,6 @@ def test_single_leaf_tree_compress_roundtrip(factory_1d):
     assert z.norm2() == 0.0
 
 
-def test_uniform_projection(factory_1d):
-    f = factory_1d.uniform(gaussian_1d(ALPHA), level=5)
-    assert f.tree.n_leaves() == 32
-    assert abs(f.eval((0.5,)) - 1.0) < 1e-6
-
-
 def test_refine_leaf_is_exact(f1d):
     f = f1d.copy()
     leaf = next(k for k, n in f.tree.leaves())
@@ -131,17 +119,3 @@ def test_refine_leaf_is_exact(f1d):
     f.refine_leaf(leaf)
     assert np.isclose(f.eval(leaf.box_center()), val_before, atol=1e-12)
     assert f.tree[leaf].has_children
-
-
-def test_eval_many_matches_eval(f1d):
-    pts = np.array([[0.1], [0.35], [0.5], [1.4]])
-    vals = f1d.eval_many(pts)
-    assert vals.shape == (4,)
-    for p, v in zip(pts, vals):
-        assert v == f1d.eval(tuple(p))
-    assert vals[-1] == 0.0  # outside the domain
-
-
-def test_eval_many_shape_validated(f1d):
-    with pytest.raises(OperatorError):
-        f1d.eval_many(np.zeros((3, 2)))

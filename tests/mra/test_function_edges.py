@@ -50,13 +50,6 @@ def test_zero_function_round_trips():
     assert z.eval((0.3, 0.7)) == 0.0
 
 
-def test_uniform_level_zero():
-    fac = FunctionFactory(dim=1, k=8, thresh=1e-6)
-    f = fac.uniform(gaussian_1d(3.0), level=0)
-    assert f.tree.size() == 1
-    assert abs(f.eval((0.5,)) - 1.0) < 1e-3  # smooth enough for one box
-
-
 def test_constructor_validates_form_and_mode():
     tree = FunctionTree(1)
     with pytest.raises(OperatorError):

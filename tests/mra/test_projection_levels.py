@@ -158,25 +158,6 @@ def test_level_projection_matches_recursive_refinement(case):
     assert_same_tree(factory.from_callable(f).tree, reference_tree(factory, f))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    dim=st.integers(1, 3),
-    k=st.integers(1, 8),
-    level=st.integers(0, 3),
-    alpha=st.floats(5.0, 400.0),
-)
-def test_uniform_matches_per_box_projection(dim, k, level, alpha):
-    factory = FunctionFactory(dim, k)
-    f = off_centre_gaussian(dim, alpha)
-    want = FunctionTree(dim)
-    keys = [Key.root(dim)]
-    for _ in range(level):
-        keys = [c for key in keys for c in key.children()]
-    for key in keys:
-        want.ensure_path(key).coeffs = project_box(factory, f, key)
-    assert_same_tree(factory.uniform(f, level).tree, want)
-
-
 def _coulomb_density(centre, alpha: float):
     norm = (alpha / math.pi) ** 1.5
     centre = np.array(centre)

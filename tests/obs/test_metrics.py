@@ -88,27 +88,6 @@ class TestRegistry:
         with pytest.raises(MetricsError, match="offset"):
             MetricsRegistry().shifted(-1.0)
 
-    def test_merge_counters_reaccumulate(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(0.1, 1.0)
-        a.counter("c").inc(0.5, 1.0)
-        b.counter("c").inc(0.3, 2.0)
-        a.merge_from(b)
-        merged = a.counter("c")
-        assert merged.total == 4.0
-        assert merged.samples == [(0.1, 1.0), (0.3, 3.0), (0.5, 4.0)]
-
-    def test_merge_gauges_and_histograms_interleave(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(0.1, 1)
-        b.gauge("g").set(0.2, 5)
-        b.histogram("h").observe(0.1, 2.0)
-        a.histogram("h").observe(0.3, 4.0)
-        a.merge_from(b)
-        assert a.gauge("g").samples == [(0.1, 1.0), (0.2, 5.0)]
-        assert a.gauge("g").value == 5.0
-        assert a.histogram("h").samples == [(0.1, 2.0), (0.3, 4.0)]
-
     def test_dict_round_trip(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(0.125, 2.0)

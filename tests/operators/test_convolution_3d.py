@@ -1,6 +1,5 @@
 """3-D Coulomb validation: V = rho * 1/r must match erf(sqrt(a) r)/r."""
 
-import numpy as np
 import pytest
 
 from repro.apps.coulomb import CoulombApplication

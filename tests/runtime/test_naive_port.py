@@ -1,7 +1,5 @@
 """Tests for the naive CPU-GPU port baseline (paper Section I strawman)."""
 
-import pytest
-
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE

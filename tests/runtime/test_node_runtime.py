@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.apps.coulomb import probe_item
-from repro.hardware.specs import TITAN_NODE
 from repro.kernels.base import FormulaPayload
 from repro.runtime.task import HybridTask, TaskKind, WorkItem
 from tests.conftest import make_runtime

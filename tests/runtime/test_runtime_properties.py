@@ -12,7 +12,7 @@ from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.batching import Batch
-from repro.runtime.dispatcher import HybridDispatcher, StaticSplitDispatcher
+from repro.runtime.dispatcher import HybridDispatcher
 from repro.runtime.events import Environment, Resource
 from repro.runtime.task import BatchStats, TaskKind, WorkItem
 from tests.runtime.test_dispatcher import pcie_estimate
@@ -212,14 +212,15 @@ def _block_family_items(draw):
 
 @given(_block_family_items(), st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
-def test_share_aggregates_match_their_reference(items, static_fraction):
+def test_share_aggregates_match_their_reference(items, cut_fraction):
     """The batch aggregates equal the per-key reference built from
     scratch: ``BatchStats.of`` on every field (``block_keys`` order
     included), the split search's running prefixes on every cost field
     (block-byte dedup included), forwards and backwards (its suffixes),
     and each plan's share stats field for field, though a plan's folds
-    share one key set per block family.  Every aggregate's family parts
-    join to its ``block_keys``."""
+    share one key set per block family — the three modes' plans and a
+    plan cut at an arbitrary drawn position.  Every aggregate's family
+    parts join to its ``block_keys``."""
     assert BatchStats.of(items) == per_key_stats(items)
     shared: dict = {}  # one key set per block family, as a plan shares it
     whole = BatchStats.of(items, shared)
@@ -237,14 +238,13 @@ def test_share_aggregates_match_their_reference(items, static_fraction):
         HybridDispatcher(cpu, gpu, cpu_threads=10, gpu_streams=5, mode=mode)
         for mode in ("cpu", "gpu", "hybrid")
     ]
-    dispatchers.append(
-        StaticSplitDispatcher(
-            cpu, gpu, cpu_fraction=static_fraction, cpu_threads=10, gpu_streams=5
-        )
-    )
     batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
-    for disp in dispatchers:
-        plan = disp.plan(batch, transfer_estimator=pcie_estimate)
+    plans = [disp.plan(batch, transfer_estimator=pcie_estimate) for disp in dispatchers]
+    cut = round(cut_fraction * len(items))
+    key_sets: dict = {}
+    stats = BatchStats.of(items, key_sets)
+    plans.append(HybridDispatcher._cut_plan(items, cut, stats, 0.0, 0.0, 0.0, key_sets))
+    for plan in plans:
         assert plan.cpu_items + plan.gpu_items == items
         assert plan.cpu_stats == per_key_stats(plan.cpu_items)
         assert plan.gpu_stats == per_key_stats(plan.gpu_items)

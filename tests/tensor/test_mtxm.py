@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TensorShapeError
-from repro.tensor.flops import flop_counter, mtxm_flops
-from repro.tensor.mtxm import mtxmq, mtxmq_transpose
+from repro.tensor.mtxm import mtxmq
 
 
 def test_mtxmq_matches_numpy():
@@ -26,21 +25,9 @@ def test_mtxmq_paper_shape():
     assert np.allclose(out, s.T @ h)
 
 
-def test_mtxmq_transpose_matches_numpy():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((6, 9))
-    b = rng.standard_normal((4, 6))
-    assert np.allclose(mtxmq_transpose(a, b), a.T @ b.T)
-
-
 def test_mtxmq_shape_mismatch():
     with pytest.raises(TensorShapeError):
         mtxmq(np.zeros((3, 4)), np.zeros((5, 5)))
-
-
-def test_mtxmq_transpose_shape_mismatch():
-    with pytest.raises(TensorShapeError):
-        mtxmq_transpose(np.zeros((3, 4)), np.zeros((5, 5)))
 
 
 def test_mtxmq_requires_2d():
@@ -48,25 +35,6 @@ def test_mtxmq_requires_2d():
         mtxmq(np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(TensorShapeError):
         mtxmq(np.zeros((3, 3)), np.zeros(3))
-
-
-def test_mtxmq_flop_accounting():
-    a = np.ones((5, 12))
-    b = np.ones((5, 7))
-    with flop_counter() as fc:
-        mtxmq(a, b)
-    assert fc.flops == mtxm_flops(12, 5, 7)
-    assert fc.by_label["mtxmq"] == fc.flops
-
-
-def test_nested_flop_counters():
-    a = np.ones((4, 4))
-    with flop_counter() as outer:
-        mtxmq(a, a)
-        with flop_counter() as inner:
-            mtxmq(a, a)
-    assert inner.flops == mtxm_flops(4, 4, 4)
-    assert outer.flops == 2 * inner.flops
 
 
 def test_double_mtxmq_rotates_axes_back():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import TensorShapeError
-from repro.tensor.flops import mtxm_flops
 from repro.tensor.mtxm import mtxmq
 from repro.tensor.rank_reduction import (
     effective_rank,
+    mtxm_flops,
     pad_reduced_result,
     rank_reduce_pair,
     reduced_transform_flops,
@@ -21,6 +21,10 @@ def _decaying_matrix(k, decay=0.1, seed=0):
     m = rng.standard_normal((k, k))
     scale = decay ** np.arange(k)
     return m * np.outer(scale, scale)
+
+
+def test_mtxm_flops_formula():
+    assert mtxm_flops(3, 4, 5) == 2 * 3 * 4 * 5
 
 
 def test_effective_rank_full_matrix():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import TensorShapeError
 from repro.tensor.transform import (
-    inner_product,
     transform,
     transform_dim,
     transform_seq,
@@ -75,15 +74,3 @@ def test_transform_seq_wrong_count():
 def test_transform_rejects_mismatched_operator():
     with pytest.raises(TensorShapeError):
         transform(np.zeros((3, 3)), np.eye(4))
-
-
-def test_inner_product():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    assert np.isclose(inner_product(a, b), float(np.sum(a * b)))
-
-
-def test_inner_product_shape_mismatch():
-    with pytest.raises(TensorShapeError):
-        inner_product(np.zeros((2, 2)), np.zeros((3, 3)))
