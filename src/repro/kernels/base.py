@@ -16,6 +16,7 @@ chain as the oracle the tests compare against.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,15 @@ class FormulaPayload:
 
     Attributes:
         s: input tensor, shape ``(q,) * d``.
-        factors: ``factors[mu]`` is a tuple of ``d`` matrices applied to
-            the successive dimensions (transform orientation).
+        factors: ``factors[mu]`` is a sequence of ``d`` matrices applied
+            to the successive dimensions (transform orientation): a list
+            of tuples, or an ``(M, d, q, q)`` array, which the batched
+            ``Apply`` shares between the items of one block family.
         coeffs: the ``c_mu`` scalars.
     """
 
     s: np.ndarray
-    factors: list[tuple[np.ndarray, ...]]
+    factors: Sequence[Sequence[np.ndarray]] | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
@@ -67,24 +70,26 @@ class FormulaPayload:
 def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
     """Evaluate one Formula 1 payload as a per-axis contraction chain.
 
-    The factors are stacked once into an ``(M, d, q, q)`` array.  For
-    each axis its ``(M, q, q)`` slice is applied with one broadcast
-    ``matmul``: the batched form of the ``mtxmq`` rotation, which
-    contracts the leading tensor axis and puts the new one last, for
-    every rank term in one call.  After ``d`` steps the axes are back in
-    order and one ``tensordot`` folds in the coefficients.
+    The factors are stacked into an ``(M, d, q, q)`` array (taken as
+    is when they already are one).  For each axis its ``(M, q, q)``
+    slice is applied with one broadcast ``matmul``: the batched form of
+    the ``mtxmq`` rotation, which contracts the leading tensor axis and
+    puts the new one last, for every rank term in one call.  After ``d``
+    steps the axes are back in order and one ``(1, M) x (M, q^d)``
+    product folds in the coefficients (the product
+    ``np.tensordot(coeffs, t, axes=1)`` makes, without its set-up).
     """
     s = payload.s
     m = payload.rank
     q = s.shape[0]
     if m == 0:
         return np.zeros_like(s)
-    h = np.array(payload.factors)
+    h = np.asarray(payload.factors)
     # (1, q, rest): the input broadcasts against every term's first factor
     t = s.reshape(1, q, -1)
     for axis in range(s.ndim):
         t = np.matmul(t.transpose(0, 2, 1), h[:, axis]).reshape(m, q, -1)
-    return np.tensordot(payload.coeffs, t, axes=1).reshape(s.shape)
+    return np.dot(payload.coeffs.reshape(1, m), t.reshape(m, -1)).reshape(s.shape)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ the factor matrix whose norm is below tolerance and pads the result
 back — same answer to tolerance, up to ~2.5x fewer FLOPs in typical
 separated representations.
 
-The timing model charges the *reduced* FLOP count on the CPU; the GPU
-kernels charge the full count regardless (SMs are reserved at launch
-time), which is exactly the asymmetry the paper reports.
+With rank reduction the timing model charges a reduced FLOP count on
+the CPU: every batch's FLOPs divided by the fixed ``reduction_factor``,
+for numeric and synthetic payloads alike.  The GPU kernels charge the
+full count regardless (SMs are reserved at launch time), which is
+exactly the asymmetry the paper reports.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ class CpuMtxmKernel(ComputeKernel):
         model: the CPU timing model.
         rank_reduction: enable the row/column truncation optimisation.
         reduction_tol: slice-norm threshold for the truncation.
-        reduction_factor: FLOP saving assumed by the *timing* model when
-            rank reduction is on and the payloads are synthetic (the
-            paper: "can reduce the amount of computation on the CPU only
-            by up to 2.5-times in typical cases"); for numeric payloads
-            the measured reduced FLOP count is used instead.
+        reduction_factor: FLOP saving the *timing* model assumes when
+            rank reduction is on (the paper: "can reduce the amount of
+            computation on the CPU only by up to 2.5-times in typical
+            cases"): :meth:`batch_timing` divides every batch's FLOPs by
+            it, numeric payloads included; it does not measure the
+            truncation a numeric payload's blocks allow.
     """
 
     name = "cpu-mtxm"

@@ -28,7 +28,7 @@ from repro.mra.node import FunctionNode
 from repro.mra.quadrature import QuadratureRule, phi_values
 from repro.mra.tree import FunctionTree
 from repro.mra.twoscale import TwoScaleFilter
-from repro.tensor.transform import transform
+from repro.tensor.transform import transform, transform_stack
 
 RECONSTRUCTED = "reconstructed"
 COMPRESSED = "compressed"
@@ -71,6 +71,31 @@ def gather_children(
         bits = tuple(t & 1 for t in child.translation)
         uu[child_block(bits, k)] = coeffs_of(child)
     return uu
+
+
+def join_children(coeffs: np.ndarray) -> np.ndarray:
+    """:func:`gather_children` of a stack of parents.
+
+    ``coeffs`` is ``(P, 2^d, k, ..., k)``: each parent's children's
+    scaling tensors in :meth:`Key.children` order.  Returns the
+    ``(P, 2k, ..., 2k)`` stack of the parents' packed tensors.
+    """
+    n, k, dim = len(coeffs), coeffs.shape[-1], coeffs.ndim - 2
+    # (P, b_1..b_d, i_1..i_d) -> (P, b_1, i_1, .., b_d, i_d) = (P, 2k, .., 2k)
+    axes = [0] + [a for i in range(1, dim + 1) for a in (i, dim + i)]
+    u = coeffs.reshape((n,) + (2,) * dim + (k,) * dim).transpose(axes)
+    return u.reshape((n,) + (2 * k,) * dim)
+
+
+def split_children(uu: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`join_children`: ``(P, 2k, ..., 2k)`` packed
+    tensors to each parent's ``(2^d, k, ..., k)`` child blocks, in
+    :meth:`Key.children` order (the blocks :func:`child_block` selects)."""
+    n, dim = len(uu), uu.ndim - 1
+    k = uu.shape[1] // 2
+    axes = [0] + [2 * i + 1 for i in range(dim)] + [2 * i + 2 for i in range(dim)]
+    u = uu.reshape((n,) + (2, k) * dim).transpose(axes)
+    return u.reshape((n, 1 << dim) + (k,) * dim)
 
 
 class MultiresolutionFunction:
@@ -195,20 +220,35 @@ class MultiresolutionFunction:
         Interior nodes keep the full ``(2k)^d`` ``[s|d]`` tensor *and*
         leaves keep their scaling coefficients — the redundant form lets
         the convolution act at every scale independently.
+
+        The interior nodes are filtered a level at a time, finest first:
+        one :func:`transform_stack` by ``hg.T`` over the level's packed
+        children, whose per-parent products are those of
+        :func:`gather_children` and :func:`transform` on each parent
+        alone, so every ``[s|d]`` tensor is bit-identical to it.  A
+        parent's tensor is its row of the level's stack.
         """
         if self.form == NONSTANDARD:
             return self
         self.reconstruct()
-        s_of: dict[Key, np.ndarray] = {}
-        for key, node in self.tree.by_level(reverse=True):
-            if not node.has_children:
-                s_of[key] = node.coeffs
-                continue
-            uu = gather_children(lambda c: s_of[c], key, self.k)
-            v = transform(uu, self.filter.hg.T)
-            corner = scaling_corner(self.dim, self.k)
-            s_of[key] = v[corner].copy()
-            node.coeffs = v
+        levels: dict[int, list[tuple[Key, FunctionNode]]] = {}
+        for key, node in self.tree.interior():
+            levels.setdefault(key.level, []).append((key, node))
+        s_of = {key: node.coeffs for key, node in self.tree.leaves()}
+        corner = (slice(None),) + scaling_corner(self.dim, self.k)
+        hgT = self.filter.hg.T
+        for level in sorted(levels, reverse=True):
+            group = levels[level]
+            children = np.stack(
+                [s_of[child] for key, _node in group for child in key.children()]
+            )
+            packed = join_children(
+                children.reshape((len(group), 1 << self.dim) + children.shape[1:])
+            )
+            v = transform_stack(packed, hgT)
+            for (key, node), tensor, s in zip(group, v, v[corner]):
+                node.coeffs = tensor
+                s_of[key] = s
         self.form = NONSTANDARD
         return self
 
@@ -486,19 +526,13 @@ class FunctionFactory:
         ``coeffs`` is ``(P, 2^d, k, ..., k)``: each parent's children in
         :meth:`Key.children` order.  Per parent this is
         :func:`gather_children`, :func:`transform` by ``hg.T``, a zeroed
-        scaling corner and ``np.linalg.norm``; the stacked matmuls make
-        each parent's BLAS calls, so the norms are bit-identical to it.
+        scaling corner and ``np.linalg.norm``; :func:`transform_stack` and
+        the stacked norm make each parent's BLAS calls, so the norms are
+        bit-identical to it.
         """
-        n, k, dim = len(coeffs), self.k, self.dim
-        side = 2 * k
-        # (P, b_1..b_d, i_1..i_d) -> (P, b_1, i_1, .., b_d, i_d) = (P, 2k, .., 2k)
-        axes = [0] + [a for i in range(1, dim + 1) for a in (i, dim + i)]
-        u = coeffs.reshape((n,) + (2,) * dim + (k,) * dim).transpose(axes)
-        hgT = self.filter.hg.T
-        for _ in range(dim):
-            u = np.matmul(u.reshape(n, side, -1).transpose(0, 2, 1), hgT)
-        v = u.reshape((n,) + (side,) * dim)
-        v[(slice(None),) + scaling_corner(dim, k)] = 0.0
+        n = len(coeffs)
+        v = transform_stack(join_children(coeffs), self.filter.hg.T)
+        v[(slice(None),) + scaling_corner(self.dim, self.k)] = 0.0
         flat = v.reshape(n, 1, -1)
         return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(n)
 

@@ -8,9 +8,13 @@ name wherever it takes an input):
 - ``export <dump|scenario> [-o out.json]`` — convert to Chrome-trace
   JSON (loadable in ``chrome://tracing`` or https://ui.perfetto.dev);
 - ``critical-path <dump|scenario> [--rank N]`` — the longest dependency
-  chain, broken down by stage with slack and what-if estimates;
+  chain, broken down by stage with slack and what-if estimates; it
+  needs a dump with traced interval events (the ``serving`` scenario's
+  dump has none, only metrics, so it exits 2 there);
 - ``summary <dump|scenario>`` — makespan, bound stage, overlap
-  estimate, and the run's aggregated metrics.
+  estimate, and the run's aggregated metrics; on a dump without
+  traced intervals it says there is no critical path and prints the
+  metrics.
 
 Exit codes: 0 on success, 2 on a usage or input error (matching the
 ``repro.lint`` CLI convention).
@@ -82,22 +86,26 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
 
 def _cmd_summary(args: argparse.Namespace) -> int:
     dump = _load_dump(args.source)
-    path = critical_path_for_dump(dump)
-    bound = path.bound_stage
-    estimate = path.overlap_estimate(bound)
+    traced = any(rd.events for rd in dump.ranks)
+    path = critical_path_for_dump(dump) if traced else None
     name = dump.meta.get("scenario", args.source)
     print(f"run: {name}")
-    print(f"makespan: {path.makespan * 1e3:.3f} ms")
-    print(
-        f"bound stage: {bound} "
-        f"({path.share(bound):.1%} of the critical path)"
-    )
-    if estimate > 0:
+    if path is None:
+        print("critical path: none (the dump has no traced intervals)")
+    else:
+        bound = path.bound_stage
+        estimate = path.overlap_estimate(bound)
+        print(f"makespan: {path.makespan * 1e3:.3f} ms")
         print(
-            f"overlap estimate: hiding {bound} work -> "
-            f"{estimate * 1e3:.3f} ms ({path.makespan / estimate:.2f}x)"
+            f"bound stage: {bound} "
+            f"({path.share(bound):.1%} of the critical path)"
         )
-    print(critical_path_table(path).render())
+        if estimate > 0:
+            print(
+                f"overlap estimate: hiding {bound} work -> "
+                f"{estimate * 1e3:.3f} ms ({path.makespan / estimate:.2f}x)"
+            )
+        print(critical_path_table(path).render())
     if dump.registry:
         print(metrics_table(dump.registry).render())
     return 0

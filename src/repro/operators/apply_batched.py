@@ -9,12 +9,16 @@ runtime, exactly as the paper's Algorithm 3 does:
   level's screening table, and emit tasks only for the survivors;
 - ``integral_preprocess`` (Algorithm 4): for one (source node,
   displacement) pair, look up the ``h`` operator matrices (from the
-  operator's write-once CPU cache) and emit a batched work item;
+  operator's write-once CPU cache) and emit a batched work item.  The
+  items of one (level, displacement, kept rank terms) family share
+  their block keys and one stacked factor array, looked up at the
+  family's first preprocess;
 - ``integral_compute`` (Algorithm 5): Formula 1 on the batched inputs —
   executed by whichever kernel (CPU / custom GPU / cuBLAS) the
   dispatcher sends the item to;
 - ``integral_postprocess`` (Algorithm 6): accumulate the result tensor
-  into the neighbour node of the result tree.
+  into the neighbour node of the result tree (each neighbour's node is
+  resolved once per task generation).
 
 The telescoping correction (subtracting the scaling->scaling part at
 levels > 0) is expressed as a *second kind* of compute task acting on the
@@ -57,6 +61,87 @@ class BatchedApplyResult:
     stats: ApplyStats
 
 
+class _BlockFamily:
+    """The operator blocks shared by the items of one ``(level, delta,
+    kept terms, ns)`` family.
+
+    ``block_keys`` lists ``(level, delta[axis], mu, ns)`` for each kept
+    term ``mu`` and axis: one tuple object for the whole family, which
+    is what lets :class:`~repro.runtime.task.BlockFold` and the GPU
+    block cache take their per-family fast paths.
+    """
+
+    __slots__ = ("block_keys", "_stacked")
+
+    def __init__(self, block_keys: tuple[tuple, ...]) -> None:
+        self.block_keys = block_keys
+        self._stacked: tuple[np.ndarray, np.ndarray] | None = None
+
+    def stacked(
+        self, op: GaussianConvolution, level: int, delta: tuple[int, ...],
+        keep: np.ndarray, ns: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The family's ``(M_kept, d, q, q)`` stack of every block's
+        transpose and its signed coefficients, looked up in the
+        operator's caches at the first call (Algorithm 4's lookup, made
+        once per family)."""
+        if self._stacked is None:
+            block = op.ns_block if ns else op.r_block
+            axes = range(len(delta))
+            factors = np.array([
+                [block(level, delta[axis], mu).T for axis in axes]
+                for mu in keep.tolist()
+            ])
+            coeffs = (1.0 if ns else -1.0) * op.expansion.coeffs[keep]
+            self._stacked = (factors, coeffs)
+        return self._stacked
+
+
+class _SharedState:
+    """What the tasks of one :meth:`BatchedApply.generate_tasks` call
+    share; it lives in their closures and dies with them.
+
+    - one :class:`TaskKind` per ``(level, ns)``;
+    - one :class:`_BlockFamily` per ``(level, delta, kept terms, ns)``;
+    - ``nodes``: each neighbour's result-tree node, resolved by
+      ``ensure_path`` at its first accumulate.  The result tree only
+      grows during an Apply, so the node stays the one ``ensure_path``
+      would return (the distributed Apply's proxy reads the rank when
+      it accumulates, not when it is made).
+    """
+
+    __slots__ = ("kinds", "families", "nodes")
+
+    def __init__(self) -> None:
+        self.kinds: dict[tuple[int, bool], TaskKind] = {}
+        self.families: dict[tuple, _BlockFamily] = {}
+        self.nodes: dict[Key, FunctionNode] = {}
+
+    def kind(self, level: int, ns: bool, q: int, dim: int) -> TaskKind:
+        """The batching kind of the ``(level, ns)`` tasks."""
+        kind = self.kinds.get((level, ns))
+        if kind is None:
+            kind = self.kinds[level, ns] = TaskKind(
+                "integral_compute" if ns else "integral_compute_corner",
+                (level, q, dim),
+            )
+        return kind
+
+    def family(
+        self, level: int, delta: tuple[int, ...], keep: np.ndarray, ns: bool
+    ) -> _BlockFamily:
+        """The block family of the ``keep`` terms at ``(level, delta)``."""
+        terms = tuple(keep.tolist())
+        key = (level, delta, terms, ns)
+        family = self.families.get(key)
+        if family is None:
+            axes = range(len(delta))
+            family = self.families[key] = _BlockFamily(tuple(
+                (level, delta[axis], mu, ns) for mu in terms for axis in axes
+            ))
+        return family
+
+
 class BatchedApply:
     """Drives one ``Apply`` through the hybrid batching runtime."""
 
@@ -81,7 +166,10 @@ class BatchedApply:
         the norm test (a failing pair counts as a screened displacement),
         then the in-volume test (a failing pair is skipped uncounted),
         then each survivor's rank terms.  A node is padded to its
-        ``(2k)^d`` tensor only when it emits a task.
+        ``(2k)^d`` tensor only when it emits a task.  The call's tasks
+        share one :class:`_SharedState`: a kind per ``(level, ns)``, one
+        block family per ``(level, delta, kept terms, ns)`` and each
+        neighbour's result node.
         """
         op = self.op
         corner = scaling_corner(op.dim, op.k)
@@ -93,6 +181,7 @@ class BatchedApply:
             stats.source_nodes += 1
             by_level.setdefault(key.level, []).append((key, node))
         tasks: list[HybridTask] = []
+        shared = _SharedState()
         for level, group in by_level.items():
             cnorms = np.sqrt([np.vdot(node.coeffs, node.coeffs) for _k, node in group])
             nonzero = cnorms != 0.0
@@ -127,7 +216,8 @@ class BatchedApply:
                 stats.mu_applications += int(keep.size)
                 tasks.append(
                     self._make_task(
-                        key.level, delta, chat, keep, neighbor, result_tree, ns=True
+                        key.level, delta, chat, keep, neighbor, result_tree,
+                        ns=True, shared=shared,
                     )
                 )
                 if source_log is not None:
@@ -135,13 +225,8 @@ class BatchedApply:
                 if key.level > 0:
                     tasks.append(
                         self._make_task(
-                            key.level,
-                            delta,
-                            chat[corner],
-                            keep,
-                            neighbor,
-                            result_tree,
-                            ns=False,
+                            key.level, delta, chat[corner], keep, neighbor,
+                            result_tree, ns=False, shared=shared,
                         )
                     )
                     if source_log is not None:
@@ -158,33 +243,33 @@ class BatchedApply:
         result_tree: FunctionTree,
         *,
         ns: bool,
+        shared: _SharedState | None = None,
     ) -> HybridTask:
+        """One task: apply the ``keep`` rank terms of the ``(level,
+        delta)`` operator to ``s`` and accumulate into ``neighbor``.
+
+        ``shared`` is the state the tasks of one :meth:`generate_tasks`
+        call share (see :class:`_SharedState`); without it the task
+        shares nothing and builds its own.
+        """
         op = self.op
+        if shared is None:
+            shared = _SharedState()
         q = s.shape[0]
         dim = op.dim
-        sign = 1.0 if ns else -1.0
-        kind = TaskKind(
-            "integral_compute" if ns else "integral_compute_corner",
-            (level, q, dim),
-        )
-        block_keys = tuple(
-            (level, delta[axis], mu, ns)
-            for mu in keep.tolist()
-            for axis in range(dim)
-        )
-        steps = int(keep.size) * dim
+        kind = shared.kind(level, ns, q, dim)
+        family = shared.family(level, delta, keep, ns)
+        block_keys = family.block_keys
+        steps = len(block_keys)
         rows = q ** (dim - 1)
         flops = steps * 2 * rows * q * q
         corner = scaling_corner(dim, op.k)
+        nodes = shared.nodes
 
         def preprocess() -> WorkItem:
-            # Algorithm 4: obtain the h 2-D tensors (write-once CPU cache).
-            block = op.ns_block if ns else op.r_block
-            factors = [
-                tuple(block(level, delta[axis], int(mu)).T for axis in range(dim))
-                for mu in keep
-            ]
-            coeffs = sign * op.expansion.coeffs[keep]
+            # Algorithm 4: obtain the h 2-D tensors (write-once CPU cache),
+            # stacked once per block family.
+            factors, coeffs = family.stacked(op, level, delta, keep, ns)
             payload = FormulaPayload(s=s, factors=factors, coeffs=coeffs)
             return WorkItem(
                 kind=kind,
@@ -202,7 +287,9 @@ class BatchedApply:
 
         def postprocess(result: np.ndarray) -> None:
             # Algorithm 6: accumulate into the neighbour of the result tree.
-            node = result_tree.ensure_path(neighbor)
+            node = nodes.get(neighbor)
+            if node is None:
+                node = nodes[neighbor] = result_tree.ensure_path(neighbor)
             if ns:
                 node.accumulate(result)
             else:

@@ -29,8 +29,8 @@ from repro.errors import OperatorError
 from repro.mra.function import (
     MultiresolutionFunction,
     RECONSTRUCTED,
-    child_block,
     scaling_corner,
+    split_children,
 )
 from repro.mra.key import Key
 from repro.mra.node import FunctionNode
@@ -40,7 +40,7 @@ from repro.operators.blocks import gaussian_blocks_1d, ns_block_from_children
 from repro.operators.cache import OperatorBlockCache
 from repro.operators.displacements import ring_offsets
 from repro.operators.gaussian_fit import GaussianExpansion, fit_inverse_r
-from repro.tensor.transform import transform
+from repro.tensor.transform import transform_stack
 
 #: absolute floor below which an operator block is treated as exactly zero.
 _NORM_FLOOR = 1e-300
@@ -48,13 +48,14 @@ _NORM_FLOOR = 1e-300
 
 @dataclass
 class ApplyStats:
-    """Work statistics of one ``Apply`` call — the quantities the paper's
-    runtime and tables are phrased in (task counts, rank, FLOPs)."""
+    """Work statistics of one ``Apply`` call's screening: the source
+    nodes, the (source node, displacement) tasks past screening and the
+    rank terms they apply.  The FLOPs are counted per work item
+    (``WorkItem.flops``), where the kernels run them."""
 
     source_nodes: int = 0
     tasks: int = 0  # (source node, displacement) pairs past screening
     mu_applications: int = 0  # rank terms actually multiplied
-    flops: int = 0
     screened_displacements: int = 0
     by_level: dict[int, int] = field(default_factory=dict)
 
@@ -415,37 +416,75 @@ def sum_down_ns(
     children.  A childless node whose wavelet content is non-negligible
     is refined one extra level so no detail is lost (the result of a
     convolution is legitimately finer than its input).
+
+    The pass runs a level at a time: a level's sums are array additions,
+    the detail norms one stacked product and the unfilter one
+    :func:`transform_stack` by ``hg``, each making every node's own
+    operations, so every coefficient is bit-identical to a node-by-node
+    pass.  The output tree is then filled in depth-first pre-order
+    (a node, then its children's subtrees, last child first).
     """
-    corner = scaling_corner(dim, k)
+    scaling = scaling_corner(dim, k)
+    corner = (slice(None),) + scaling  # every row's scaling corner
     root = Key.root(dim)
     if root not in tree:
         tree[root] = FunctionNode(coeffs=None)
-    out = FunctionTree(dim)
-    stack: list[tuple[Key, np.ndarray]] = [(root, np.zeros((k,) * dim))]
-    while stack:
-        key, s_parent = stack.pop()
-        node = tree.get(key)
-        has_kids = node.has_children if node is not None else False
-        v = None if node is None else node.coeffs
-        if not has_kids and v is None:
-            out.ensure_path(key).coeffs = s_parent
-            continue
-        full = np.zeros((2 * k,) * dim)
-        if v is not None:
-            full += v
-        full[corner] += s_parent
-        if not has_kids:
-            detail = full.copy()
-            detail[corner] = 0.0
-            if float(np.linalg.norm(detail)) <= thresh * 1e-2:
-                out.ensure_path(key).coeffs = full[corner].copy()
+    tol = thresh * 1e-2
+    leaf_coeffs: dict[Key, np.ndarray] = {}
+    children_of: dict[Key, list[Key]] = {}
+    # the level's keys and the scaling coefficients their parents pass down
+    keys, s_parents = [root], np.zeros((1,) + (k,) * dim)
+    while keys:
+        # a node holding a tensor or children is summed (a row of ``full``);
+        # any other node is a leaf of its parent's coefficients
+        active: list[int] = []
+        tensors: list[np.ndarray] = []
+        with_v: list[int] = []  # rows holding a tensor
+        childless: list[int] = []  # rows without children
+        for i, key in enumerate(keys):
+            node = tree.get(key)
+            if node is None or (node.coeffs is None and not node.has_children):
+                leaf_coeffs[key] = s_parents[i]
                 continue
-        uu = transform(full, filter_.hg)
-        out.ensure_path(key).has_children = True
-        for child in key.children():
-            bits = tuple(t & 1 for t in child.translation)
-            block = uu[child_block(bits, k)].copy()
-            stack.append((child, block))
+            if node.coeffs is not None:
+                with_v.append(len(active))
+                tensors.append(node.coeffs)
+            if not node.has_children:
+                childless.append(len(active))
+            active.append(i)
+        full = np.zeros((len(active),) + (2 * k,) * dim)
+        if tensors:
+            full[with_v] += np.stack(tensors)
+        full[corner] += s_parents[active]
+        refine = np.ones(len(active), dtype=bool)
+        if childless:
+            detail = full[childless]
+            detail[corner] = 0.0
+            flat = detail.reshape(len(childless), 1, -1)
+            norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+            for row in np.asarray(childless)[norms <= tol].tolist():
+                leaf_coeffs[keys[active[row]]] = full[row][scaling].copy()
+                refine[row] = False
+        parents = [keys[i] for i, r in zip(active, refine.tolist()) if r]
+        if not parents:
+            break
+        blocks = split_children(transform_stack(full[refine], filter_.hg))
+        keys = []
+        for parent in parents:
+            kids = list(parent.children())
+            children_of[parent] = kids
+            keys.extend(kids)
+        s_parents = blocks.reshape((len(keys),) + (k,) * dim)
+    out = FunctionTree(dim)
+    stack = [root]
+    while stack:
+        key = stack.pop()
+        kids = children_of.get(key)
+        if kids is None:
+            out[key] = FunctionNode(coeffs=leaf_coeffs[key])
+        else:
+            out[key] = FunctionNode(has_children=True)
+            stack.extend(kids)
     fn = MultiresolutionFunction(
         dim, k, out, thresh=thresh, form=RECONSTRUCTED, truncate_mode=truncate_mode
     )

@@ -12,14 +12,20 @@ This subpackage provides:
 - :func:`repro.tensor.mtxm.mtxmq` — the primitive contraction;
 - :func:`repro.tensor.transform.transform` — the full d-dimensional
   transform built from ``mtxmq``, and ``transform_seq`` with one matrix
-  per dimension (one rank term of Formula 1);
+  per dimension (one rank term of Formula 1), and ``transform_stack``
+  over a stack of tensors;
 - :mod:`repro.tensor.rank_reduction` — the paper's CPU-side optimisation
   that truncates negligible rows/columns before multiplying, and the
   FLOP count of a truncated multiply.
 """
 
 from repro.tensor.mtxm import mtxmq
-from repro.tensor.transform import transform, transform_dim, transform_seq
+from repro.tensor.transform import (
+    transform,
+    transform_dim,
+    transform_seq,
+    transform_stack,
+)
 from repro.tensor.rank_reduction import (
     effective_rank,
     mtxm_flops,
@@ -34,6 +40,7 @@ __all__ = [
     "transform",
     "transform_dim",
     "transform_seq",
+    "transform_stack",
     "effective_rank",
     "pad_reduced_result",
     "rank_reduce_pair",

@@ -93,9 +93,11 @@ def reduced_transform_flops(h: np.ndarray, rest: int, tol: float) -> int:
     """FLOPs of one rank-reduced ``mtxmq`` against operator ``h``.
 
     ``rest`` is the non-contracted extent of the flattened tensor
-    (``k^{d-1}``).  This is what the CPU cost model charges when rank
-    reduction is enabled; the full-cost counterpart is
-    ``mtxm_flops(rest, q, q')``.
+    (``k^{d-1}``); the full-cost counterpart is ``mtxm_flops(rest, q,
+    q')``.  The CPU cost model does not use this count: with rank
+    reduction it divides a batch's full FLOPs by the kernel's fixed
+    ``reduction_factor`` (see :class:`~repro.kernels.cpu_kernel.
+    CpuMtxmKernel`).
     """
     contract = effective_rank(h, tol, axis=0)
     out_cols = effective_rank(h, tol, axis=1)

@@ -8,7 +8,8 @@
 different matrix per dimension (the ``h^{(mu,1)} ... h^{(mu,d)}`` of a
 separated operator).  Both are implemented as ``d`` successive ``mtxmq``
 calls on the flattened tensor, which is exactly the data layout the
-paper's CUDA kernels operate on.
+paper's CUDA kernels operate on.  ``transform_stack`` transforms a whole
+stack of tensors with one stacked ``matmul`` per dimension.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def transform(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     for _ in range(dim):
         r = transform_dim(r, h)
     return r
+
+
+def transform_stack(s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`transform` of every tensor of a stack by one square ``h``.
+
+    ``s`` has shape ``(B, side, ..., side)``.  Each dimension is one
+    stacked ``matmul`` whose per-tensor products are the ``mtxmq`` calls
+    of transforming that tensor alone, so every tensor of the result is
+    bit-identical to :func:`transform` of it.
+    """
+    n, side = s.shape[0], s.shape[1]
+    if h.shape != (side, side):
+        raise TensorShapeError(
+            f"operator matrix {h.shape} incompatible with tensors {s.shape[1:]}"
+        )
+    t = s
+    for _ in range(s.ndim - 1):
+        t = np.matmul(t.reshape(n, side, -1).transpose(0, 2, 1), h)
+    return t.reshape(s.shape)
 
 
 def transform_seq(s: np.ndarray, hs: Sequence[np.ndarray]) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.obs.cli import main
 from repro.obs.dump import RunDump
 from repro.obs.export import validate_chrome_trace
+from repro.obs.scenarios import SCENARIOS
 
 
 class TestRecord:
@@ -70,6 +73,29 @@ class TestSummary:
     def test_pipelined_summary_states_the_gpu_bound(self, capsys):
         assert main(["summary", "pipelined"]) == 0
         assert "bound stage: gpu" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_scenario_summarizes(self, scenario, capsys):
+        assert main(["summary", scenario]) == 0
+        assert f"run: {scenario}" in capsys.readouterr().out
+
+    def test_dump_without_intervals_has_no_critical_path(self, tmp_path, capsys):
+        # the serving scenario records metrics but no interval events:
+        # summary says so and prints the metrics; critical-path needs
+        # the intervals and still refuses
+        dump_path = tmp_path / "serving.json"
+        assert main(["record", "serving", "-o", str(dump_path)]) == 0
+        capsys.readouterr()
+        assert main(["summary", str(dump_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == [
+            "run: serving",
+            "critical path: none (the dump has no traced intervals)",
+        ]
+        assert "Run metrics" in out and "serve.arrivals" in out
+        assert "makespan" not in out
+        assert main(["critical-path", str(dump_path)]) == 2
+        assert "no traced events" in capsys.readouterr().err
 
 
 class TestErrors:

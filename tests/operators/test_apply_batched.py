@@ -161,15 +161,18 @@ def _reference_tasks(gen, src, result_tree, stats, source_log):
 
 
 class _Recorder(BatchedApply):
-    """Logs each task as (level, delta, kept mu, neighbour, NS?, input)."""
+    """Logs each task as (level, delta, kept mu, neighbour, NS?, input);
+    ``shared``, the generator's per-call state, is passed through."""
 
     def __init__(self, op):
         super().__init__(op, runtime=None)
         self.log = []
 
-    def _make_task(self, level, delta, s, keep, neighbor, result_tree, *, ns):
+    def _make_task(self, level, delta, s, keep, neighbor, result_tree, *, ns, **shared):
         self.log.append((level, delta, tuple(keep.tolist()), neighbor, ns, s))
-        return super()._make_task(level, delta, s, keep, neighbor, result_tree, ns=ns)
+        return super()._make_task(
+            level, delta, s, keep, neighbor, result_tree, ns=ns, **shared
+        )
 
 
 def _task_stream(f, op, generate):
@@ -244,3 +247,66 @@ def test_seed0_screening_pin(coulomb_seed0):
     assert {level: len(op.level_displacements(level)) for level in range(7)} == {
         0: 4913, 1: 117, 2: 81, 3: 27, 4: 27, 5: 19, 6: 7,
     }
+
+
+def test_block_families_share_keys_and_factors(coulomb_seed0):
+    """Items of one (level, delta, kept terms, ns) family share one
+    ``block_keys`` tuple and one factor array, whose rows are the
+    operator blocks' transposes; tasks made without the generator's
+    shared state build equal keys and factors of their own."""
+    op = _coulomb_seed0_operator()
+    src = coulomb_seed0.copy()
+    src.nonstandard()
+    gen = _Recorder(op)
+    tasks = gen.generate_tasks(src, FunctionTree(3), ApplyStats())
+    items = [task.run_preprocess() for task in tasks]
+    families = {}
+    for (level, delta, keep, _neighbor, ns, _s), item in zip(gen.log, items):
+        families.setdefault((level, delta, keep, ns), []).append(item)
+    assert (len(items), len(families)) == (1439, 361)
+    kinds = {}
+    for (level, delta, keep, ns), group in families.items():
+        first = group[0]
+        assert all(item.block_keys is first.block_keys for item in group)
+        assert all(item.payload.factors is first.payload.factors for item in group)
+        assert first.block_keys == tuple(
+            (level, delta[axis], mu, ns) for mu in keep for axis in range(3)
+        )
+        block = op.ns_block if ns else op.r_block
+        factors = first.payload.factors
+        q = 2 * op.k if ns else op.k
+        assert factors.shape == (len(keep), 3, q, q)
+        for row, mu in zip(factors, keep):
+            for axis in range(3):
+                assert np.array_equal(row[axis], block(level, delta[axis], mu).T)
+        for item in group:
+            kinds.setdefault((level, ns), set()).add(id(item.kind))
+    assert len({id(group[0].block_keys) for group in families.values()}) == 361
+    assert all(len(ids) == 1 for ids in kinds.values())
+
+    alone = _Recorder(op)
+    for task, item in zip(
+        _reference_tasks(alone, src, FunctionTree(3), ApplyStats(), []), items
+    ):
+        own = task.run_preprocess()
+        assert own.block_keys == item.block_keys
+        assert own.block_keys is not item.block_keys
+        assert np.array_equal(own.payload.factors, item.payload.factors)
+        assert np.array_equal(own.payload.coeffs, item.payload.coeffs)
+
+
+def test_repeated_applies_give_identical_results(problem_2d):
+    """Nothing one Apply's tasks share outlives them: a second Apply on
+    the same BatchedApply builds the same function."""
+    f, op, _ref = problem_2d
+    gen = BatchedApply(op, make_runtime("hybrid"))
+    first, second = gen.apply(f), gen.apply(f)
+    assert second.stats == first.stats
+    assert list(second.function.tree.keys()) == list(first.function.tree.keys())
+    for key, node in first.function.tree.items():
+        mine = second.function.tree[key]
+        assert mine.has_children == node.has_children
+        if node.coeffs is None:
+            assert mine.coeffs is None
+        else:
+            assert np.array_equal(mine.coeffs, node.coeffs)
