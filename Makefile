@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke table6-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke table6-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke gc-audit
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, steal-smoke,
@@ -138,6 +138,13 @@ perf-pairs:
 	$(PYTHON) perf/compare.py \
 	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/parent-$$i.json; done) -- \
 	    $$(for i in $$(seq 1 $(PAIRS)); do echo $(PAIRS_DIR)/change-$$i.json; done)
+
+## gc-audit: the garbage collections each perf workload's build and run
+## start on their own, per generation, with their seconds; exits 3 when
+## an automatic full collection lands in build or run (tools/gc_audit.py;
+## not part of check)
+gc-audit:
+	$(PYTHON) tools/gc_audit.py
 
 ## same-outputs: check that a change keeps its parent's outputs:
 ##   make same-outputs PARENT=<parent checkout>

@@ -160,14 +160,15 @@ class SyntheticApplyWorkload:
         self.total_flops = 0
         # Block-key tuples are shared per (level, displacement ring):
         # tasks at one level reuse the same operator matrices, which is
-        # what makes the write-once caches effective.
-        block_tuples: dict[tuple[int, int], tuple] = {}
+        # what makes the write-once caches effective.  Each family's key
+        # set is built here once, for every plan that folds it.
+        block_tuples: dict[tuple[int, int], tuple[tuple, frozenset]] = {}
 
-        def blocks_for(level: int, ring: int) -> tuple:
+        def blocks_for(level: int, ring: int) -> tuple[tuple, frozenset]:
             cached = block_tuples.get((level, ring))
             if cached is None:
-                cached = tuple((level, ring, mu) for mu in range(self.rank))
-                block_tuples[(level, ring)] = cached
+                keys = tuple((level, ring, mu) for mu in range(self.rank))
+                cached = block_tuples[(level, ring)] = (keys, frozenset(keys))
             return cached
 
         # distribute tasks over tree nodes roughly evenly with jitter —
@@ -176,12 +177,14 @@ class SyntheticApplyWorkload:
         for i in range(self.n_tasks):
             key = keys[rng.randrange(n_keys)]
             neighbor = self._random_neighbor(rng, key)
+            block_keys, block_set = blocks_for(key.level, i % 4)
             item = WorkItem(
                 kind=kinds[key.level],
                 flops=flops,
                 input_bytes=tensor_bytes,
                 output_bytes=tensor_bytes,
-                block_keys=blocks_for(key.level, i % 4),
+                block_keys=block_keys,
+                block_set=block_set,
                 block_bytes=self.rank * q * q * 8,
                 steps=steps,
                 step_rows=rows,

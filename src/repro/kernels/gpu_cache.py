@@ -29,7 +29,10 @@ The cache records which tickets it issued are still in flight;
 :meth:`commit_transfer` and :meth:`abort_transfer` land only such a
 ticket and raise, changing nothing, for any other — one already
 committed or aborted (even when its blocks have since been shipped
-again by another ticket) or one this cache never issued.
+again by another ticket) or one this cache never issued.  A key is in
+flight for exactly one of those open tickets, so a batch that waits on
+blocks learns from its ticket's ``waits_on`` which transfers it waits
+for: one per transfer, not one per key.
 """
 
 from __future__ import annotations
@@ -57,8 +60,13 @@ class TransferTicket:
         bytes_to_ship: PCIe bytes this batch is charged for.
         ship_parts: ``ship_keys`` split by block family, each part a
             set where the partition had one (a family shipped whole),
-            else a tuple; commit, abort and the runtime's in-flight map
-            update one part at a time.  Left out of equality.
+            else a tuple; commit and abort update one part at a time.
+            Left out of equality.
+        waits_on: the open tickets, in issue order, that ship this
+            batch's ``wait_keys``: each wait key is in flight for
+            exactly one of them, so the batch may compute once they
+            have all committed.  Empty when there are no wait keys.
+            Left out of equality.
     """
 
     ship_keys: tuple[Hashable, ...]
@@ -66,6 +74,9 @@ class TransferTicket:
     hit_keys: tuple[Hashable, ...]
     bytes_to_ship: int
     ship_parts: tuple[Iterable[Hashable], ...] = field(
+        default=(), compare=False, repr=False
+    )
+    waits_on: tuple["TransferTicket", ...] = field(
         default=(), compare=False, repr=False
     )
 
@@ -128,8 +139,10 @@ class GpuBlockCache:
         capacity; residency is granted only by :meth:`commit_transfer`.
         Hits and waits cost nothing on PCIe (the whole point of
         write-once residency) — but a wait is only *usable* once the
-        owning transfer commits.  All statistics count unique keys, and
-        every part keeps the keys' first-occurrence order.
+        owning transfer commits, so the ticket's ``waits_on`` names the
+        open tickets that ship them, found from the open tickets' ship
+        parts only when there are waits.  All statistics count unique
+        keys, and every part keeps the keys' first-occurrence order.
         """
         if isinstance(block_keys, BlockParts):
             parts = block_keys
@@ -167,6 +180,13 @@ class GpuBlockCache:
                 f"GPU block cache overflow: {used + total} bytes "
                 f"exceeds capacity {self.capacity_bytes}"
             )
+        waits_on: tuple[TransferTicket, ...] = ()
+        if any(waits):
+            waited = set(chain.from_iterable(waits))
+            waits_on = tuple(
+                owner for owner in self._open.values()
+                if any(not waited.isdisjoint(part) for part in owner.ship_parts)
+            )
         for part in ship_parts:
             in_flight.update(part)
         ticket = TransferTicket(
@@ -175,6 +195,7 @@ class GpuBlockCache:
             hit_keys=_joined(hits),
             bytes_to_ship=total,
             ship_parts=tuple(ship_parts),
+            waits_on=waits_on,
         )
         self.reserved_bytes += total
         self.stats.hits += len(ticket.hit_keys)

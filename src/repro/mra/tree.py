@@ -143,6 +143,17 @@ class FunctionTree:
         t._nodes = {k: n.copy() for k, n in self._nodes.items()}
         return t
 
+    def copy_nodes(self) -> "FunctionTree":
+        """Copy every node but share its coefficient array: a copy for a
+        caller that only rebinds ``node.coeffs`` and never writes an
+        array in place, as the form changes do."""
+        t = FunctionTree(self.dim)
+        t._nodes = {
+            k: FunctionNode(n.coeffs, n.has_children)
+            for k, n in self._nodes.items()
+        }
+        return t
+
     def check_structure(self, complete: bool = True) -> None:
         """Validate structural invariants; raises TreeStructureError.
 

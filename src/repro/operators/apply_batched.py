@@ -68,7 +68,10 @@ class _BlockFamily:
     ``block_keys`` lists ``(level, delta[axis], mu, ns)`` for each kept
     term ``mu`` and axis: one tuple object for the whole family, which
     is what lets :class:`~repro.runtime.task.BlockFold` and the GPU
-    block cache take their per-family fast paths.
+    block cache take their per-family fast paths.  It keeps no key set
+    for ``WorkItem.block_set``: one per family, alive through the
+    Apply, starts an automatic full collection in every coulomb-apply
+    benchmark repeat (docs/PIPELINE.md §3).
     """
 
     __slots__ = ("block_keys", "_stacked")
@@ -318,7 +321,16 @@ class BatchedApply:
                 f"function (dim={f.dim}, k={f.k})"
             )
         stats = ApplyStats()
-        src = f.copy() if copy_input else f
+        src = f
+        if copy_input:
+            # nodes of its own, arrays shared: ``nonstandard`` (and the
+            # ``reconstruct`` it runs) only rebinds ``node.coeffs`` and
+            # task generation only reads them, so ``f`` keeps its
+            # coefficients, flags and form
+            src = MultiresolutionFunction(
+                f.dim, f.k, f.tree.copy_nodes(), thresh=f.thresh,
+                form=f.form, truncate_mode=f.truncate_mode,
+            )
         src.nonstandard()
         result_tree = FunctionTree(self.op.dim)
         tasks = self.generate_tasks(src, result_tree, stats)

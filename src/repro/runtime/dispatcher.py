@@ -127,19 +127,31 @@ class HybridDispatcher:
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split one flushed batch per the configured mode (cpu/gpu/hybrid).
 
-        Every fold of the plan — the whole batch, the split search's
-        prefixes and suffixes, and the two shares — shares one key set
-        per block family (see :class:`BlockFold`), built the first time
-        a fold meets the family and dropped with the plan."""
+        Every fold of the plan shares one key set per block family (see
+        :class:`BlockFold`): the item's ``block_set`` where the producer
+        built one, else a set built the first time a fold meets the
+        family and dropped with the plan.
+
+        A hybrid plan folds the batch forwards once: the split search's
+        prefixes come from that fold, and its last prefix, with the
+        fold's block parts, is the whole-batch aggregate — the same
+        additions in the same order as ``BatchStats.of(items)``.  The
+        backward fold gives the suffixes, and each share of a split
+        gets a fold of its own."""
         items = batch.items
         key_sets: dict[int, frozenset] = {}
-        stats = BatchStats.of(items, key_sets)
-        m, n = self.device_estimates(stats, transfer_estimator)
-        if self.mode == "cpu":
-            return self._cut_plan(items, len(items), stats, m, n, 1.0)
-        if self.mode == "gpu":
+        if self.mode != "hybrid":
+            stats = BatchStats.of(items, key_sets)
+            m, n = self.device_estimates(stats, transfer_estimator)
+            if self.mode == "cpu":
+                return self._cut_plan(items, len(items), stats, m, n, 1.0)
             return self._cut_plan(items, 0, stats, m, n, 0.0)
-        cut = self._best_cut(items, transfer_estimator, key_sets)
+        blocks = BlockFold(key_sets)
+        prefixes = self._running_stats(items, blocks)
+        stats = prefixes[-1].with_blocks(blocks)
+        m, n = self.device_estimates(stats, transfer_estimator)
+        suffixes = self._running_stats(items[::-1], BlockFold(key_sets))
+        cut = self._best_cut(prefixes, suffixes, transfer_estimator)
         k = self._fraction(items[:cut], items)
         return self._cut_plan(items, cut, stats, m, n, k, key_sets)
 
@@ -200,22 +212,28 @@ class HybridDispatcher:
         ) * self.gpu_time_scale
 
     def _best_cut(
-        self, items: list[WorkItem], transfer_estimator=None,
-        key_sets: dict[int, frozenset] | None = None,
+        self, prefixes: list[BatchStats], suffixes: list[BatchStats],
+        transfer_estimator=None,
     ) -> int:
         """Cut index minimising ``max(cpu(items[:cut]), gpu(items[cut:]))``.
+
+        ``prefixes`` and ``suffixes`` are :meth:`_running_stats` of the
+        batch and of the batch reversed: entry ``i`` aggregates the first
+        (last) ``i`` items.
 
         This realises the paper's optimal overlap against the *actual*
         batch timing functions rather than the linear ``k = n/(m+n)``
         idealisation — in particular it accounts for CPU thread
         starvation when the CPU's share would be only a few items (one
         CPU task is single-threaded), in which case it keeps the CPU
-        share small or empty.  All cuts are evaluated exactly, using
-        prefix/suffix aggregate statistics built in one pass each.
+        share small or empty.  Every cut is considered, in order, and
+        the first minimum wins.  A cut whose CPU time alone is not below
+        the best time so far cannot win, as ``max(cpu, gpu) >= cpu``, so
+        its GPU side (kernel timing and PCIe estimate) is not priced.
+        No monotonicity is assumed and the scan never stops early, so
+        the cut is the one pricing every cut gives.
         """
-        n = len(items)
-        prefixes = self._running_stats(items, key_sets)
-        suffixes = self._running_stats(list(reversed(items)), key_sets)
+        n = len(prefixes) - 1
         best_cut = 0
         best_time = None
         for cut in range(n + 1):
@@ -224,6 +242,8 @@ class HybridDispatcher:
                 if cut
                 else 0.0
             )
+            if best_time is not None and not cpu_t < best_time:
+                continue
             gpu_t = (
                 self.gpu_share_seconds(suffixes[n - cut], transfer_estimator)
                 * self.gpu_time_scale
@@ -237,16 +257,14 @@ class HybridDispatcher:
         return best_cut
 
     @staticmethod
-    def _running_stats(
-        items: list[WorkItem], key_sets: dict[int, frozenset] | None = None
-    ) -> list[BatchStats]:
+    def _running_stats(items: list[WorkItem], blocks: BlockFold) -> list[BatchStats]:
         """Cost fields of every prefix of ``items`` (length n+1, entry 0
-        empty), built in one pass.  ``block_keys`` stays empty: the cost
-        models read only ``unique_block_bytes``, so one :class:`BlockFold`
-        serves every prefix."""
+        empty), built in one pass through the fresh fold ``blocks``.
+        ``block_keys`` stays empty: the cost models read only
+        ``unique_block_bytes``, so one :class:`BlockFold` serves every
+        prefix, and afterwards holds the block parts of all ``items``."""
         out = [BatchStats()]
-        acc = BatchStats()
-        blocks = BlockFold(key_sets)
+        acc = out[0]
         for it in items:
             acc = BatchStats(
                 n_items=acc.n_items + 1,

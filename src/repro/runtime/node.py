@@ -370,8 +370,9 @@ class NodeRuntime:
             flush_interval=self.flush_interval, max_batch_size=self.max_batch_size
         )
         pools = self._make_pools(env)
-        #: block key -> Event triggered when its transfer completes
-        inflight: dict = {}
+        #: ``id`` of each open transfer ticket -> the Event triggered when
+        #: its transfer commits; dropped at the commit
+        arrivals: dict[int, Event] = {}
         batch_events: list[Event] = []
         producer_done = env.event()
         wake_flusher = [env.event()]
@@ -389,7 +390,7 @@ class NodeRuntime:
                     env.now, batch.size
                 )
             done = env.process(
-                self._run_batch(env, batch, index, timeline, pools, inflight)
+                self._run_batch(env, batch, index, timeline, pools, arrivals)
             )
             batch_events.append(done)
 
@@ -486,7 +487,7 @@ class NodeRuntime:
 
     # -- per-batch pipeline -----------------------------------------------------------
 
-    def _run_batch(self, env, batch, index, timeline, pools, inflight):
+    def _run_batch(self, env, batch, index, timeline, pools, arrivals):
         # admission window: plan only once a pipeline slot frees, so a
         # calibrating dispatcher plans this batch with the feedback of
         # the batches that already completed
@@ -540,7 +541,7 @@ class NodeRuntime:
                 env.process(
                     self._gpu_part(
                         env, batch.kind, plan.gpu_items, plan.gpu_stats,
-                        timeline, pools, inflight, rec, index,
+                        timeline, pools, arrivals, rec, index,
                     )
                 )
             )
@@ -712,8 +713,42 @@ class NodeRuntime:
             rec.measured_cpu_seconds = seconds
         self._run_numeric(self.dispatcher.cpu_kernel, items, timeline)
 
-    def _gpu_part(self, env, kind, items, stats, timeline, pools, inflight,
+    @staticmethod
+    def _await_transfers(env, ticket, arrivals) -> list[Event]:
+        """The arrival events of the transfers ``ticket`` waits on, one
+        per ticket of its ``waits_on``; a ticket that ships blocks gets
+        its own event in ``arrivals``, which :meth:`_transfer_arrived`
+        triggers and drops.
+
+        As each wait key is in flight for exactly one open ticket, these
+        are the distinct events a map from every in-flight key to its
+        transfer's event gives, so a wait ends at the same instant.  An
+        open ticket of an earlier, halted run of this runtime has no
+        event here, and is not waited on.
+        """
+        events = [
+            arrivals[id(owner)] for owner in ticket.waits_on
+            if id(owner) in arrivals
+        ]
+        if ticket.ship_keys:
+            arrivals[id(ticket)] = env.event()
+        return events
+
+    @staticmethod
+    def _transfer_arrived(ticket, arrivals) -> None:
+        """Trigger and drop the arrival event of a committed ticket."""
+        arrivals.pop(id(ticket)).succeed()
+
+    def _gpu_part(self, env, kind, items, stats, timeline, pools, arrivals,
                   rec, batch_index=0):
+        """Ship a share's inputs and missing blocks, compute it on the
+        GPU streams and drain its results.
+
+        ``arrivals`` maps the ``id`` of each open transfer ticket of the
+        run to the event its commit triggers (see
+        :meth:`_await_transfers`): one entry per transfer, not one per
+        shipped key.
+        """
         # double-buffered staging: hold one aggregation buffer from
         # transfer start until the kernel has consumed it.  Acquired
         # *before* the cache reservation — a shipper that has marked
@@ -741,13 +776,7 @@ class NodeRuntime:
             # blocks as *waits*, not hits (the TOCTOU fix)
             ticket = self.gpu_cache.begin_transfer(stats.block_parts, per_block)
             self._log_begin_transfer(kind, stats.block_keys, env.now, batch_index)
-            arrival_events = [
-                inflight[k] for k in ticket.wait_keys if k in inflight
-            ]
-            if ticket.ship_keys:
-                arrived = env.event()
-                for part in ticket.ship_parts:
-                    inflight.update(dict.fromkeys(part, arrived))
+            arrival_events = self._await_transfers(env, ticket, arrivals)
             block_bytes = ticket.bytes_to_ship
             bytes_in = stats.input_bytes + block_bytes
             plan_in = self.buffer_pool.plan(bytes_in)
@@ -766,7 +795,7 @@ class NodeRuntime:
             self.gpu_cache.commit_transfer(ticket)
             if ticket.ship_keys:
                 self._log_block_transfer(ticket.ship_keys, env.now, batch_index)
-                inflight[ticket.ship_keys[0]].succeed()
+                self._transfer_arrived(ticket, arrivals)
             if self.registry is not None:
                 reg = self.registry
                 if ticket.ship_keys:
@@ -796,9 +825,10 @@ class NodeRuntime:
                 env.now, rec.block_wait_seconds
             )
 
+        # the read set only a tracer's gpu_compute record reads
         block_keys_read = (
             ticket.ship_keys + ticket.wait_keys + ticket.hit_keys
-            if ticket is not None
+            if ticket is not None and self.tracer is not None
             else ()
         )
         gpu_ok = yield from self._gpu_compute_attempts(

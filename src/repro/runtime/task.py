@@ -44,7 +44,7 @@ class TaskKind:
         return self.label
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkItem:
     """One compute task inside a batch.
 
@@ -74,6 +74,14 @@ class WorkItem:
         step_rows / step_q: shape of each multiplication,
             ``(step_rows, step_q) x (step_q, step_q)`` — the paper's
             ``(k^{d-1}, k) x (k, k)``.
+        block_set: ``block_keys`` as a frozenset, or ``None``.  A
+            producer that shares one family's tuple across many batches
+            builds its set once, with the tuple, and every fold of every
+            plan uses it; without it each plan builds the set once.
+            Left out of equality and ``repr``.
+
+    The class has ``__slots__``: the runtime and recovery assign only
+    its fields (``on_complete``).
     """
 
     kind: TaskKind
@@ -89,6 +97,7 @@ class WorkItem:
     #: postprocess hook: called with the numeric result when the compute
     #: phase finishes (the *postprocess* sub-task of the paper's split).
     on_complete: Callable[[Any], None] | None = None
+    block_set: frozenset | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -162,13 +171,17 @@ class BlockFold:
       tuple alive while the fold lives);
     - a tuple whose key set is disjoint from the keys seen so far adds
       all its distinct keys with one set operation;
-    - only a tuple that overlaps the seen keys is scanned key by key.
+    - a tuple whose keys were all seen before adds none, found with one
+      subset test;
+    - only a tuple that overlaps the seen keys in part is scanned key
+      by key.
 
     The fast paths rest on producers sharing one ``block_keys`` tuple
-    object per block family: the family's key set is built once, in
-    ``key_sets`` (``id`` of the tuple -> set), and a dispatcher's plan
-    passes one such dict to all of its folds.  Equal but distinct
-    tuples stay correct, each getting a set of its own.
+    object per block family.  The family's key set is the item's
+    ``block_set`` when the producer built one; otherwise it is built
+    once per plan, in ``key_sets`` (``id`` of the tuple -> set), and a
+    dispatcher's plan passes one such dict to all of its folds.  Equal
+    but distinct tuples stay correct, each getting a set of its own.
 
     :meth:`BatchStats.of` and ``HybridDispatcher._running_stats`` share
     this one dedup rule.  :attr:`parts` records each tuple's new keys,
@@ -193,19 +206,21 @@ class BlockFold:
             return 0
         self._folded.add(set_id)
         seen = self.seen
-        family = self._key_sets.get(set_id)
+        family = item.block_set
         if family is None:
-            family = self._key_sets[set_id] = frozenset(keys)
+            family = self._key_sets.get(set_id)
+            if family is None:
+                family = self._key_sets[set_id] = frozenset(keys)
         if seen.isdisjoint(family):
             seen |= family
             n_new = len(family)
             # a tuple that repeats keys keeps each once, first use first
             new = keys if n_new == len(keys) else tuple(dict.fromkeys(keys))
             self.parts.append((new, family))
+        elif family <= seen:
+            return 0
         else:
             found = dict.fromkeys(k for k in keys if k not in seen)
-            if not found:
-                return 0
             seen.update(found)
             n_new = len(found)
             self.parts.append((tuple(found), None))
@@ -267,6 +282,12 @@ class BatchStats:
             stats.step_rows = max(stats.step_rows, it.step_rows)
             stats.step_q = max(stats.step_q, it.step_q)
             stats.unique_block_bytes += blocks.add(it)
-        stats.block_parts = BlockParts(blocks.parts)
-        stats.block_keys = stats.block_parts.joined()
-        return stats
+        return stats.with_blocks(blocks)
+
+    def with_blocks(self, blocks: BlockFold) -> "BatchStats":
+        """Take ``blocks``' parts, and their keys joined, as this
+        aggregate's; returns ``self``.  ``blocks`` must be the fold that
+        charged :attr:`unique_block_bytes`."""
+        self.block_parts = BlockParts(blocks.parts)
+        self.block_keys = self.block_parts.joined()
+        return self

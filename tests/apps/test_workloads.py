@@ -168,6 +168,17 @@ def test_block_key_tuples_shared(workload):
             by_level[key] = task.item.block_keys
 
 
+def test_block_sets_built_once_per_family(workload):
+    """Every item carries its family's key set, built once: equal to
+    ``frozenset(block_keys)`` and one object per block-key tuple."""
+    set_of = {}
+    for task in workload.tasks:
+        item = task.item
+        assert item.block_set == frozenset(item.block_keys)
+        assert set_of.setdefault(id(item.block_keys), item.block_set) is item.block_set
+    assert len(set_of) == len({id(s) for s in set_of.values()})
+
+
 def test_determinism_of_workload():
     a = SyntheticApplyWorkload(dim=2, k=5, rank=10, n_tasks=100, seed=9)
     b = SyntheticApplyWorkload(dim=2, k=5, rank=10, n_tasks=100, seed=9)

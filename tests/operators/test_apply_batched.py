@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import OperatorError
-from repro.mra.function import FunctionFactory, scaling_corner
+from repro.mra.function import (
+    COMPRESSED,
+    RECONSTRUCTED,
+    FunctionFactory,
+    scaling_corner,
+)
 from repro.mra.tree import FunctionTree
 from repro.operators.apply_batched import BatchedApply
 from repro.operators.convolution import (
@@ -293,6 +298,34 @@ def test_block_families_share_keys_and_factors(coulomb_seed0):
         assert own.block_keys is not item.block_keys
         assert np.array_equal(own.payload.factors, item.payload.factors)
         assert np.array_equal(own.payload.coeffs, item.payload.coeffs)
+
+
+@pytest.mark.parametrize("form", [RECONSTRUCTED, COMPRESSED])
+def test_apply_leaves_its_input_unchanged(problem_2d, form):
+    """The Apply converts a copy of its input whose nodes share the
+    input's coefficient arrays; the input keeps its form, its nodes'
+    flags and arrays, and every coefficient, reconstructed or
+    compressed, and the result still matches the reference."""
+    f, op, reference = problem_2d
+    g = f.copy()
+    if form == COMPRESSED:
+        g.compress()
+    before = [
+        (key, node.has_children, node.coeffs,
+         None if node.coeffs is None else node.coeffs.copy())
+        for key, node in g.tree.items()
+    ]
+    result = BatchedApply(op, make_runtime("hybrid")).apply(g)
+    assert g.form == form
+    assert [key for key, *_ in before] == list(g.tree.keys())
+    for key, has_children, array, values in before:
+        node = g.tree[key]
+        assert node.has_children == has_children
+        assert node.coeffs is array
+        if values is not None:
+            assert np.array_equal(node.coeffs, values)
+    rel = (reference - result.function).norm2() / reference.norm2()
+    assert rel < 1e-5
 
 
 def test_repeated_applies_give_identical_results(problem_2d):

@@ -1,6 +1,6 @@
 """Property-based tests of the DES engine and the dispatcher split."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,11 +10,12 @@ from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
+from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.runtime.batching import Batch
 from repro.runtime.dispatcher import HybridDispatcher
 from repro.runtime.events import Environment, Resource
-from repro.runtime.task import BatchStats, TaskKind, WorkItem
+from repro.runtime.task import BatchStats, BlockFold, TaskKind, WorkItem
 from tests.runtime.test_dispatcher import pcie_estimate
 
 
@@ -82,8 +83,9 @@ def _item(flops: int) -> WorkItem:
 )
 @settings(max_examples=40, deadline=None)
 def test_dispatcher_cut_is_optimal(flops_list, threads, streams):
-    """The bisection cut matches brute-force minimisation of
-    max(cpu(prefix), gpu(suffix)) over all cuts."""
+    """The plan's cut matches brute-force minimisation of
+    max(cpu(prefix), gpu(suffix)) over all cuts, each side aggregated
+    from scratch."""
     disp = HybridDispatcher(
         CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
         CustomGpuKernel(GpuModel(TITAN_NODE.gpu)),
@@ -227,10 +229,16 @@ def test_share_aggregates_match_their_reference(items, cut_fraction):
     assert whole == per_key_stats(items)
     assert_parts_join_to_keys(whole)
     for seq in (items, items[::-1]):
-        for i, prefix in enumerate(HybridDispatcher._running_stats(seq, shared)):
+        blocks = BlockFold(shared)
+        prefixes = HybridDispatcher._running_stats(seq, blocks)
+        for i, prefix in enumerate(prefixes):
             reference = per_key_stats(seq[:i])
             for name in COST_FIELDS:
                 assert getattr(prefix, name) == getattr(reference, name), (i, name)
+        # the last prefix with its fold's parts is the whole aggregate
+        last = prefixes[-1].with_blocks(blocks)
+        assert last == per_key_stats(seq)
+        assert last.block_parts == BatchStats.of(seq).block_parts
 
     cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
     gpu = CustomGpuKernel(GpuModel(TITAN_NODE.gpu))
@@ -250,3 +258,164 @@ def test_share_aggregates_match_their_reference(items, cut_fraction):
         assert plan.gpu_stats == per_key_stats(plan.gpu_items)
         assert_parts_join_to_keys(plan.cpu_stats)
         assert_parts_join_to_keys(plan.gpu_stats)
+
+
+def _dispatcher(gpu_kernel, threads, streams, cpu_scale, gpu_scale) -> HybridDispatcher:
+    """A hybrid dispatcher on ``gpu_kernel``, calibrated by the scales."""
+    gpu_cls = CublasKernel if gpu_kernel == "cublas" else CustomGpuKernel
+    disp = HybridDispatcher(
+        CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
+        gpu_cls(GpuModel(TITAN_NODE.gpu)),
+        cpu_threads=threads,
+        gpu_streams=streams,
+        mode="hybrid",
+    )
+    disp.cpu_time_scale = cpu_scale
+    disp.gpu_time_scale = gpu_scale
+    return disp
+
+
+def full_scan_cut(disp, prefixes, suffixes, transfer_estimator=None) -> int:
+    """Test-only reference: the split search that prices both sides of
+    every cut, which ``_best_cut`` replaced with one that skips the GPU
+    side of a cut whose CPU side alone cannot win."""
+    n = len(prefixes) - 1
+    best_cut, best_time = 0, None
+    for cut in range(n + 1):
+        cpu_t = (
+            disp.cpu_share_seconds(prefixes[cut]) * disp.cpu_time_scale
+            if cut else 0.0
+        )
+        gpu_t = (
+            disp.gpu_share_seconds(suffixes[n - cut], transfer_estimator)
+            * disp.gpu_time_scale
+            if cut < n else 0.0
+        )
+        t = max(cpu_t, gpu_t)
+        if best_time is None or t < best_time:
+            best_time, best_cut = t, cut
+    return best_cut
+
+
+_scales = st.sampled_from([0.05, 0.6, 1.0, 1.7, 25.0])
+
+
+@given(
+    _block_family_items(),
+    st.sampled_from(["custom", "cublas"]),
+    st.integers(1, 16),
+    st.integers(1, 8),
+    _scales,
+    _scales,
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_pruned_split_search_matches_the_full_scan(
+    items, gpu_kernel, threads, streams, cpu_scale, gpu_scale, with_pcie
+):
+    """The split search that skips cuts whose CPU side cannot win picks
+    the full scan's cut, the first minimum, for items of mixed shapes
+    over overlapping block families, with and without a transfer
+    estimator, on either GPU kernel and at calibration scales other
+    than 1; the hybrid plan cuts there too."""
+    disp = _dispatcher(gpu_kernel, threads, streams, cpu_scale, gpu_scale)
+    estimator = pcie_estimate if with_pcie else None
+    prefixes = HybridDispatcher._running_stats(items, BlockFold())
+    suffixes = HybridDispatcher._running_stats(items[::-1], BlockFold())
+    want = full_scan_cut(disp, prefixes, suffixes, estimator)
+    assert disp._best_cut(prefixes, suffixes, estimator) == want
+    batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
+    assert len(disp.plan(batch, transfer_estimator=estimator).cpu_items) == want
+
+
+def test_pruned_split_search_prices_fewer_gpu_sides():
+    """On a batch of equal items the CPU side grows with the cut, so
+    once a cut wins every later cut's GPU side is skipped."""
+    disp = _dispatcher("custom", 10, 5, 1.0, 1.0)
+    priced = []
+    gpu_share_seconds = disp.gpu_share_seconds
+
+    def counting(stats, transfer_estimator=None):
+        priced.append(stats.n_items)
+        return gpu_share_seconds(stats, transfer_estimator)
+
+    disp.gpu_share_seconds = counting
+    items = [_item(50_000_000) for _ in range(40)]
+    prefixes = HybridDispatcher._running_stats(items, BlockFold())
+    suffixes = HybridDispatcher._running_stats(items[::-1], BlockFold())
+    cut = disp._best_cut(prefixes, suffixes, pcie_estimate)
+    assert 0 < cut < len(items)
+    assert len(priced) < len(items) + 1
+    assert cut == full_scan_cut(disp, prefixes, suffixes, pcie_estimate)
+
+
+@given(
+    _block_family_items(),
+    st.sampled_from(["custom", "cublas"]),
+    _scales,
+    _scales,
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_hybrid_plan_prices_the_whole_batch_aggregate(
+    items, gpu_kernel, cpu_scale, gpu_scale, with_pcie
+):
+    """A hybrid plan takes the whole-batch aggregate from its forward
+    fold: its ``m`` and ``n`` are ``device_estimates`` of
+    ``BatchStats.of(items)``, and a share that is the whole batch
+    carries that aggregate, block parts included."""
+    disp = _dispatcher(gpu_kernel, 10, 5, cpu_scale, gpu_scale)
+    estimator = pcie_estimate if with_pcie else None
+    batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
+    plan = disp.plan(batch, transfer_estimator=estimator)
+    whole = BatchStats.of(items)
+    assert (plan.est_cpu_seconds, plan.est_gpu_seconds) == disp.device_estimates(
+        whole, estimator
+    )
+    for share, stats in ((plan.cpu_items, plan.cpu_stats),
+                         (plan.gpu_items, plan.gpu_stats)):
+        if len(share) == len(items):
+            assert stats == whole
+            assert stats.block_parts == whole.block_parts
+
+
+def _with_block_sets(items, data) -> list[WorkItem]:
+    """``items`` where a drawn subset carries its family's ``block_set``:
+    one frozenset per tuple object, as a producer builds it."""
+    sets: dict[int, frozenset] = {}
+    out = []
+    for it in items:
+        if data.draw(st.booleans()):
+            family = sets.setdefault(id(it.block_keys), frozenset(it.block_keys))
+            it = replace(it, block_set=family)
+        out.append(it)
+    return out
+
+
+@given(_block_family_items(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_sets_leave_every_aggregate_unchanged(items, data):
+    """Items that carry their family's ``block_set`` fold exactly as
+    items that leave the set to the plan: the same aggregates, block
+    parts included, the same running prefixes and the same plans."""
+    given_sets = _with_block_sets(items, data)
+    for seq, other in ((items, given_sets), (items[::-1], given_sets[::-1])):
+        want, got = BatchStats.of(seq), BatchStats.of(other)
+        assert got == want
+        assert got.block_parts == want.block_parts
+        mine, theirs = BlockFold(), BlockFold()
+        assert HybridDispatcher._running_stats(other, mine) == (
+            HybridDispatcher._running_stats(seq, theirs)
+        )
+        assert mine.parts == theirs.parts
+    disp = _dispatcher("custom", 10, 5, 1.7, 0.6)
+    plans = [
+        disp.plan(Batch(kind=seq[0].kind, items=seq, created_at=0.0,
+                        flushed_at=0.0), transfer_estimator=pcie_estimate)
+        for seq in (items, given_sets)
+    ]
+    assert len(plans[0].cpu_items) == len(plans[1].cpu_items)
+    assert plans[0].cpu_stats == plans[1].cpu_stats
+    assert plans[0].gpu_stats == plans[1].gpu_stats
+    assert plans[0].cpu_stats.block_parts == plans[1].cpu_stats.block_parts
+    assert plans[0].gpu_stats.block_parts == plans[1].gpu_stats.block_parts

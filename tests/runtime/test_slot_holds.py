@@ -1,4 +1,5 @@
-"""Slot holds without a DES process per slot.
+"""Slot holds without a DES process per slot, and block waits without
+a per-key in-flight map.
 
 ``NodeRuntime._occupy_slices`` holds a share's CPU-thread or GPU-stream
 slots through grant and timeout callbacks.  :class:`PerSlotRuntime`
@@ -6,6 +7,13 @@ keeps the way it held them before — one process per slot-slice, joined
 by an ``AllOf`` — as the reference: on random node configurations, with
 and without faults, both runtimes give the same ``NodeTimeline``, the
 same trace spans in the same order and the same structured log.
+
+``NodeRuntime._await_transfers`` keeps one arrival event per open
+transfer ticket and waits on the tickets of ``waits_on``.
+:class:`PerKeyInflightRuntime` keeps the per-key map it replaced — every
+shipped key to its transfer's event, one event per wait key — as the
+reference of the same comparison, on configurations whose batches wait
+on blocks in flight.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.injector import FaultInjector
@@ -24,6 +32,7 @@ from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
+from repro.kernels.gpu_cache import GpuBlockCache
 from repro.runtime.dispatcher import AdaptiveDispatcher, HybridDispatcher
 from repro.runtime.events import AllOf, Environment
 from repro.runtime.node import NodeRuntime
@@ -57,6 +66,24 @@ class PerSlotRuntime(NodeRuntime):
         ])
 
 
+class PerKeyInflightRuntime(NodeRuntime):
+    """Reference: every shipped key maps to its transfer's arrival
+    event, and a waiting share collects one event per wait key."""
+
+    @staticmethod
+    def _await_transfers(env, ticket, inflight):
+        events = [inflight[k] for k in ticket.wait_keys if k in inflight]
+        if ticket.ship_keys:
+            arrived = env.event()
+            for part in ticket.ship_parts:
+                inflight.update(dict.fromkeys(part, arrived))
+        return events
+
+    @staticmethod
+    def _transfer_arrived(ticket, inflight):
+        inflight[ticket.ship_keys[0]].succeed()
+
+
 def _tasks(sizes, families) -> list[HybridTask]:
     """Items of a few shapes over a few shared block-key tuples."""
     kind = TaskKind("integral_compute", (3, 20))
@@ -80,24 +107,28 @@ def _tasks(sizes, families) -> list[HybridTask]:
 
 
 @st.composite
-def _configs(draw):
-    """One node configuration, its task stream and its fault schedule."""
+def _configs(draw, waiting=False):
+    """One node configuration, its task stream and its fault schedule.
+    ``waiting`` draws pipelined GPU-side runs of small batches over a few
+    larger families, whose batches often begin a transfer while another
+    batch ships their blocks."""
     families = draw(st.lists(
-        st.lists(st.integers(0, 30), max_size=12).map(tuple),
-        min_size=1, max_size=5,
+        st.lists(st.integers(0, 30), min_size=int(waiting),
+                 max_size=24 if waiting else 12).map(tuple),
+        min_size=1, max_size=3 if waiting else 5,
     ))
     sizes = draw(st.lists(
         st.tuples(
             st.sampled_from([0, 1_000_000, 20_000_000, 80_000_000]),
             st.integers(1, 60),
         ),
-        min_size=1, max_size=120,
+        min_size=20 if waiting else 1, max_size=120,
     ))
     cfg = {
         "mode": draw(st.sampled_from(["cpu", "gpu", "hybrid"])),
         "threads": draw(st.integers(1, 16)),
         "streams": draw(st.integers(1, 8)),
-        "batch": draw(st.integers(1, 60)),
+        "batch": draw(st.integers(1, 12 if waiting else 60)),
         "flush": draw(st.sampled_from([1e-6, 1e-4, 1e-3, 5e-3, 0.02])),
         "pipelined": draw(st.booleans()),
         "adaptive": draw(st.booleans()),
@@ -106,6 +137,9 @@ def _configs(draw):
         "retries": 3,
         "degraded": None,
     }
+    if waiting:
+        cfg["mode"] = draw(st.sampled_from(["gpu", "hybrid"]))
+        cfg["pipelined"], cfg["naive"] = True, False
     if draw(st.booleans()):
         faults = [GpuFailure(rate=draw(st.sampled_from([0.1, 0.3, 0.6])))]
         if draw(st.booleans()):
@@ -163,7 +197,8 @@ def _run(cls, cfg, tasks):
     )
     timeline = runtime.execute(tasks)
     history = getattr(dispatcher, "history", None)
-    return dataclasses.asdict(timeline), tracer.events, tracer.log, history
+    return (dataclasses.asdict(timeline), tracer.events, tracer.log, history,
+            runtime.gpu_cache.stats)
 
 
 @given(_configs())
@@ -178,6 +213,86 @@ def test_slot_callbacks_match_the_per_slot_processes(config):
     assert got[1] == want[1]
     assert got[2] == want[2]
     assert got[3] == want[3]
+
+
+@given(_configs(waiting=True))
+@settings(max_examples=150, deadline=None)
+def test_one_arrival_per_transfer_matches_the_per_key_map(config):
+    """Same timeline, same spans in the same order, same structured log,
+    calibration history and cache counters as the per-key in-flight map,
+    on runs whose batches wait on blocks in flight."""
+    cfg, tasks = config
+    got = _run(NodeRuntime, cfg, tasks)
+    want = _run(PerKeyInflightRuntime, cfg, tasks)
+    event(f"waits: {bool(got[4].waits)}")
+    assert got == want
+
+
+def test_batches_wait_on_blocks_in_flight():
+    """The waiting draws reach the cache's wait path: here batches over
+    two families of 24 keys begin transfers of blocks another batch
+    ships, and both runtimes agree.  (Transfers queue FIFO on the one
+    host-to-device link, so the owner commits before the waiter's own
+    transfer ends, and the wait takes no simulated time here;
+    :func:`test_waits_end_where_the_per_key_map_ends_them` times waits
+    that do.)"""
+    families = [tuple(range(24)), tuple(range(24, 48))]
+    cfg = {
+        "mode": "gpu", "threads": 4, "streams": 4, "batch": 2,
+        "flush": 1e-4, "pipelined": True, "adaptive": False,
+        "naive": False, "faults": [], "retries": 3, "degraded": None,
+    }
+    tasks = _tasks([(20_000_000, 20)] * 40, families)
+    got = _run(NodeRuntime, cfg, tasks)
+    want = _run(PerKeyInflightRuntime, cfg, tasks)
+    assert got == want
+    assert got[4].waits > 0
+
+
+def _wait_ends(cls, batches, delays):
+    """Begin each batch's transfer on one cache, have every waiting
+    batch wait on ``cls._await_transfers``'s events through an
+    ``AllOf``, then commit each shipping ticket ``delays[i]`` after the
+    start; returns each wait's (batch, end instant) in the order the
+    waits end, and the events processed."""
+    env = Environment()
+    cache = GpuBlockCache(1 << 20)
+    arrivals: dict = {}
+    ends: list = []
+    tickets = []
+    for i, keys in enumerate(batches):
+        ticket = cache.begin_transfer(keys, 1.0)
+        done = AllOf(env, cls._await_transfers(env, ticket, arrivals))
+        done.callbacks.append(lambda _value, i=i: ends.append((i, env.now)))
+        tickets.append(ticket)
+
+    def commit(ticket, delay):
+        yield env.timeout(delay)
+        cache.commit_transfer(ticket)
+        cls._transfer_arrived(ticket, arrivals)
+
+    for ticket, delay in zip(tickets, delays):
+        if ticket.ship_keys:
+            env.process(commit(ticket, delay))
+    env.run()
+    return ends, env.n_processed
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=8),
+             min_size=1, max_size=8),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_waits_end_where_the_per_key_map_ends_them(batches, data):
+    """Batches begin transfers over overlapping keys while earlier ones
+    are in flight, and the transfers commit at drawn instants, ties
+    included.  Each wait over one event per owning transfer ends at the
+    instant, and in the order, that the per-key map's one event per wait
+    key ends it, with as many events processed."""
+    delays = [data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) for _ in batches]
+    got = _wait_ends(NodeRuntime, batches, delays)
+    assert got == _wait_ends(PerKeyInflightRuntime, batches, delays)
 
 
 def _processes_started(cls, mode, threads, streams) -> int:
