@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke table6-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs examples experiments-smoke gc-audit
+.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke table6-smoke chaos-sched-smoke chaos-smoke des-smoke des-equivalence perf-pins perf-tests perf-pairs same-outputs same-work examples experiments-smoke gc-audit
 
 ## check: what the blocking CI `check` job runs — in-tree analyzer (library
 ## and tests), race gate, ruff, mypy, tier-1 tests, steal-smoke,
@@ -173,6 +173,26 @@ same-outputs:
 	    done; \
 	done
 	diff -r $(SAME_DIR)/parent $(SAME_DIR)/change && echo "same outputs"
+
+## same-work: check that a change does its parent's work:
+##   make same-work PARENT=<parent checkout>
+## runs `perf/run.py --seed 0 --seconds 1 --trace 1` (every workload, each
+## in a fresh interpreter) in the parent checkout and in the working
+## tree, then fails listing each traced metric whose unit is count or
+## flop and that differs (tools/same_work.py).  Each side's report and
+## log land under WORK_DIR.
+WORK_DIR := /tmp/same-work
+same-work:
+	@test -n "$(PARENT)" || { echo "usage: make same-work PARENT=<parent checkout>"; exit 2; }
+	@rm -rf $(WORK_DIR) && mkdir -p $(WORK_DIR)
+	@for side in parent change; do \
+	    if [ $$side = parent ]; then dir="$(PARENT)"; else dir="$(CURDIR)"; fi; \
+	    echo "== $$side: perf/run.py --seed 0 --seconds 1 --trace 1"; \
+	    (cd "$$dir" && $(PYTHON) perf/run.py --seed 0 --seconds 1 --trace 1 \
+	        --out $(WORK_DIR)/$$side.json > $(WORK_DIR)/$$side.log 2>&1) \
+	        || { echo "$$side run failed; see $(WORK_DIR)/$$side.log"; exit 1; }; \
+	done
+	$(PYTHON) tools/same_work.py $(WORK_DIR)/parent.json $(WORK_DIR)/change.json
 
 ## examples: run every script in examples/; fails on the first non-zero
 ## exit (blocking in CI)

@@ -10,10 +10,10 @@ Because batch transfers take *time* on the simulated clock, residency is
 a two-phase protocol:
 
 - :meth:`begin_transfer` partitions a batch's block set into resident
-  hits, blocks currently **in flight** on PCIe for another batch (the
-  waiter path — they must not be re-shipped, but they are not usable
-  until the owning transfer completes), and genuine misses, which it
-  marks in flight and charges to this batch;
+  hits, blocks currently **in flight** on PCIe for another batch (waits:
+  they must not be re-shipped, and they are usable once the owning
+  transfer completes), and genuine misses, which it marks in flight and
+  charges to this batch;
 - :meth:`commit_transfer` makes the shipped blocks resident once the
   transfer has completed on the simulated clock.
 
@@ -29,10 +29,12 @@ The cache records which tickets it issued are still in flight;
 :meth:`commit_transfer` and :meth:`abort_transfer` land only such a
 ticket and raise, changing nothing, for any other — one already
 committed or aborted (even when its blocks have since been shipped
-again by another ticket) or one this cache never issued.  A key is in
-flight for exactly one of those open tickets, so a batch that waits on
-blocks learns from its ticket's ``waits_on`` which transfers it waits
-for: one per transfer, not one per key.
+again by another ticket) or one this cache never issued.
+
+The cache does not order transfers.  The node runtime reserves a
+batch's blocks in the step it requests the FIFO host-to-device link,
+so the transfers that ship a batch's wait keys commit before its own
+transfer ends.
 """
 
 from __future__ import annotations
@@ -54,18 +56,13 @@ class TransferTicket:
         ship_keys: blocks this batch must transfer (now in flight, owned
             by this ticket until :meth:`GpuBlockCache.commit_transfer`).
         wait_keys: blocks another batch is currently transferring; the
-            holder must wait for that transfer's completion before
-            computing on them (and must not re-ship them).
+            holder must not re-ship them, and may compute on them once
+            that transfer has committed.
         hit_keys: blocks already resident on the device.
         bytes_to_ship: PCIe bytes this batch is charged for.
         ship_parts: ``ship_keys`` split by block family, each part a
             set where the partition had one (a family shipped whole),
             else a tuple; commit and abort update one part at a time.
-            Left out of equality.
-        waits_on: the open tickets, in issue order, that ship this
-            batch's ``wait_keys``: each wait key is in flight for
-            exactly one of them, so the batch may compute once they
-            have all committed.  Empty when there are no wait keys.
             Left out of equality.
     """
 
@@ -74,9 +71,6 @@ class TransferTicket:
     hit_keys: tuple[Hashable, ...]
     bytes_to_ship: int
     ship_parts: tuple[Iterable[Hashable], ...] = field(
-        default=(), compare=False, repr=False
-    )
-    waits_on: tuple["TransferTicket", ...] = field(
         default=(), compare=False, repr=False
     )
 
@@ -139,10 +133,8 @@ class GpuBlockCache:
         capacity; residency is granted only by :meth:`commit_transfer`.
         Hits and waits cost nothing on PCIe (the whole point of
         write-once residency) — but a wait is only *usable* once the
-        owning transfer commits, so the ticket's ``waits_on`` names the
-        open tickets that ship them, found from the open tickets' ship
-        parts only when there are waits.  All statistics count unique
-        keys, and every part keeps the keys' first-occurrence order.
+        owning transfer commits.  All statistics count unique keys, and
+        every part keeps the keys' first-occurrence order.
         """
         if isinstance(block_keys, BlockParts):
             parts = block_keys
@@ -180,13 +172,6 @@ class GpuBlockCache:
                 f"GPU block cache overflow: {used + total} bytes "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-        waits_on: tuple[TransferTicket, ...] = ()
-        if any(waits):
-            waited = set(chain.from_iterable(waits))
-            waits_on = tuple(
-                owner for owner in self._open.values()
-                if any(not waited.isdisjoint(part) for part in owner.ship_parts)
-            )
         for part in ship_parts:
             in_flight.update(part)
         ticket = TransferTicket(
@@ -195,7 +180,6 @@ class GpuBlockCache:
             hit_keys=_joined(hits),
             bytes_to_ship=total,
             ship_parts=tuple(ship_parts),
-            waits_on=waits_on,
         )
         self.reserved_bytes += total
         self.stats.hits += len(ticket.hit_keys)
@@ -231,11 +215,11 @@ class GpuBlockCache:
         """Roll a ticket back after a faulted transfer.
 
         The ticket's ship keys leave the in-flight set **without**
-        gaining residency and their reserved bytes are released, so
-        waiters blocked on those keys re-ship them on their own next
-        :meth:`begin_transfer` instead of waiting forever on a transfer
-        that will never commit.  Aborting a ticket that is not in flight
-        (already committed or aborted) raises and changes nothing.
+        gaining residency and their reserved bytes are released, so a
+        later :meth:`begin_transfer` ships them as fresh misses instead
+        of counting them as waits on a transfer that will never commit.
+        Aborting a ticket that is not in flight (already committed or
+        aborted) raises and changes nothing.
         """
         self._land(ticket, "abort")
         self.stats.aborts += len(ticket.ship_keys)

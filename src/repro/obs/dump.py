@@ -333,7 +333,6 @@ _SUMMARY_FIELDS = (
     "cpu_compute_busy",
     "gpu_busy",
     "pcie_busy",
-    "block_wait_seconds",
     "n_gpu_faults",
     "n_retries",
     "n_fallback_items",
@@ -348,10 +347,5 @@ _SUMMARY_FIELDS = (
 
 def timeline_summary(timeline) -> dict:
     """The dump-worthy scalars of a :class:`~repro.runtime.node.
-    NodeTimeline` (fields absent on older timelines are skipped)."""
-    out = {}
-    for name in _SUMMARY_FIELDS:
-        value = getattr(timeline, name, None)
-        if value is not None:
-            out[name] = value
-    return out
+    NodeTimeline`."""
+    return {name: getattr(timeline, name) for name in _SUMMARY_FIELDS}

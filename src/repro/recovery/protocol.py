@@ -109,7 +109,6 @@ _SUMMED_FIELDS = (
     "pcie_to_busy",
     "pcie_from_busy",
     "data_busy",
-    "block_wait_seconds",
     "n_batches",
     "n_cpu_items",
     "n_gpu_items",

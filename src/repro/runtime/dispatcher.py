@@ -135,9 +135,10 @@ class HybridDispatcher:
         A hybrid plan folds the batch forwards once: the split search's
         prefixes come from that fold, and its last prefix, with the
         fold's block parts, is the whole-batch aggregate — the same
-        additions in the same order as ``BatchStats.of(items)``.  The
-        backward fold gives the suffixes, and each share of a split
-        gets a fold of its own."""
+        additions in the same order as ``BatchStats.of(items)``.  Its
+        CPU price ``m`` is also the split search's CPU side of the last
+        cut.  The backward fold gives the suffixes, and each share of a
+        split gets a fold of its own."""
         items = batch.items
         key_sets: dict[int, frozenset] = {}
         if self.mode != "hybrid":
@@ -151,7 +152,7 @@ class HybridDispatcher:
         stats = prefixes[-1].with_blocks(blocks)
         m, n = self.device_estimates(stats, transfer_estimator)
         suffixes = self._running_stats(items[::-1], BlockFold(key_sets))
-        cut = self._best_cut(prefixes, suffixes, transfer_estimator)
+        cut = self._best_cut(prefixes, suffixes, m, transfer_estimator)
         k = self._fraction(items[:cut], items)
         return self._cut_plan(items, cut, stats, m, n, k, key_sets)
 
@@ -213,13 +214,15 @@ class HybridDispatcher:
 
     def _best_cut(
         self, prefixes: list[BatchStats], suffixes: list[BatchStats],
-        transfer_estimator=None,
+        m: float, transfer_estimator=None,
     ) -> int:
         """Cut index minimising ``max(cpu(items[:cut]), gpu(items[cut:]))``.
 
         ``prefixes`` and ``suffixes`` are :meth:`_running_stats` of the
         batch and of the batch reversed: entry ``i`` aggregates the first
-        (last) ``i`` items.
+        (last) ``i`` items.  ``m`` is the plan's scaled CPU time of the
+        whole batch, priced from ``prefixes[-1]``: it is the CPU side of
+        the last cut, which is not priced again.
 
         This realises the paper's optimal overlap against the *actual*
         batch timing functions rather than the linear ``k = n/(m+n)``
@@ -237,11 +240,12 @@ class HybridDispatcher:
         best_cut = 0
         best_time = None
         for cut in range(n + 1):
-            cpu_t = (
-                self.cpu_share_seconds(prefixes[cut]) * self.cpu_time_scale
-                if cut
-                else 0.0
-            )
+            if not cut:
+                cpu_t = 0.0
+            elif cut == n:
+                cpu_t = m
+            else:
+                cpu_t = self.cpu_share_seconds(prefixes[cut]) * self.cpu_time_scale
             if best_time is not None and not cpu_t < best_time:
                 continue
             gpu_t = (

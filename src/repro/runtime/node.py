@@ -14,6 +14,12 @@ through the full pipeline on simulated time:
    the duplex PCIe link, and executed on GPU stream slots;
 4. *postprocess* sub-tasks run back on the data threads.
 
+A GPU share reserves its blocks and requests the one-slot, FIFO
+host-to-device link in one step, so blocks are reserved in the order
+the link carries them: a block the share finds in flight for another
+batch is resident by the time the share's own transfer ends, and the
+share computes on it without waiting.
+
 By default the runtime is **pipelined** (Section II-A's overlap made
 real): the compute pool has one slot per CPU thread, the GPU one slot
 per stream, and PCIe is full duplex — so batch *i+1* ships while batch
@@ -84,8 +90,6 @@ class BatchMetrics:
             batch was planned (1.0 for non-adaptive dispatchers).
         measured_cpu_seconds: simulated service time of the CPU share.
         transfer_in_seconds / transfer_out_seconds: PCIe charges.
-        block_wait_seconds: time spent waiting for operator blocks that
-            another batch had in flight (the write-once waiter path).
         measured_gpu_seconds: simulated service time of the GPU kernel.
         dispatched_at / completed_at: simulated instants bracketing the
             batch's compute phases (postprocess excluded);
@@ -105,7 +109,6 @@ class BatchMetrics:
     measured_cpu_seconds: float = 0.0
     transfer_in_seconds: float = 0.0
     transfer_out_seconds: float = 0.0
-    block_wait_seconds: float = 0.0
     measured_gpu_seconds: float = 0.0
     dispatched_at: float = 0.0
     completed_at: float = 0.0
@@ -116,10 +119,9 @@ class BatchMetrics:
 
     @property
     def measured_gpu_side_seconds(self) -> float:
-        """Everything the GPU share cost: transfers, waits and compute."""
+        """Everything the GPU share cost: transfers and compute."""
         return (
             self.transfer_in_seconds
-            + self.block_wait_seconds
             + self.measured_gpu_seconds
             + self.transfer_out_seconds
         )
@@ -131,7 +133,7 @@ class NodeTimeline:
 
     The plan-time totals (item split, estimates, bytes) are kept live
     as batches are planned and as fallbacks move items to the CPU, so
-    they also count batches a crash cuts off.  The fault and block-wait
+    they also count batches a crash cuts off.  The fault and retry
     totals are summed from :attr:`batches`, the records of the batches
     that completed, when the run ends.
     """
@@ -148,7 +150,6 @@ class NodeTimeline:
     pcie_to_busy: float = 0.0
     pcie_from_busy: float = 0.0
     data_busy: float = 0.0
-    block_wait_seconds: float = 0.0
     n_tasks: int = 0
     n_batches: int = 0
     n_cpu_items: int = 0
@@ -264,6 +265,9 @@ class NodeRuntime:
         self.registry = registry
         #: set per execute(): True only when registered faults exist
         self._chaos = False
+        #: set when an execute() halts: the device cache keeps that
+        #: run's open transfers, so the runtime cannot run again
+        self._halted = False
 
     def _trace(
         self, category: str, label: str, start: float, end: float,
@@ -357,7 +361,20 @@ class NodeRuntime:
         the cut.  A run that finishes *before* ``halt_at`` is not
         halted — the crash missed the node.  Only the recovery protocol
         passes this; ordinary callers always run to completion.
+
+        A halted runtime cannot run again: its device cache still holds
+        the halted run's transfers as in flight, which nothing would
+        ever commit.  The recovery protocol builds a fresh runtime per
+        segment.
+
+        Raises:
+            RuntimeConfigError: an earlier ``execute`` of this runtime
+                halted.
         """
+        if self._halted:
+            raise RuntimeConfigError(
+                "runtime halted in an earlier execute; build a fresh one"
+            )
         env = Environment()
         # armed only when faults are actually registered: an injector
         # with an empty schedule leaves every code path — and thus the
@@ -370,9 +387,6 @@ class NodeRuntime:
             flush_interval=self.flush_interval, max_batch_size=self.max_batch_size
         )
         pools = self._make_pools(env)
-        #: ``id`` of each open transfer ticket -> the Event triggered when
-        #: its transfer commits; dropped at the commit
-        arrivals: dict[int, Event] = {}
         batch_events: list[Event] = []
         producer_done = env.event()
         wake_flusher = [env.event()]
@@ -390,7 +404,7 @@ class NodeRuntime:
                     env.now, batch.size
                 )
             done = env.process(
-                self._run_batch(env, batch, index, timeline, pools, arrivals)
+                self._run_batch(env, batch, index, timeline, pools)
             )
             batch_events.append(done)
 
@@ -458,6 +472,7 @@ class NodeRuntime:
         # a queue that drained earlier means the node finished first
         halted = halt_at is not None and not final.triggered
         if halted:
+            self._halted = True
             timeline.halted_at = env.now
         timeline.total_seconds = env.now
         timeline.cpu_compute_busy = pools.compute.normalized_busy()
@@ -471,7 +486,6 @@ class NodeRuntime:
         )
         timeline.pcie_busy = timeline.pcie_to_busy + timeline.pcie_from_busy
         batches = timeline.batches
-        timeline.block_wait_seconds = sum(b.block_wait_seconds for b in batches)
         timeline.n_gpu_faults = sum(b.gpu_faults for b in batches)
         timeline.n_retries = sum(b.attempts - 1 for b in batches)
         timeline.n_fallback_items = sum(b.fallback_items for b in batches)
@@ -487,7 +501,7 @@ class NodeRuntime:
 
     # -- per-batch pipeline -----------------------------------------------------------
 
-    def _run_batch(self, env, batch, index, timeline, pools, arrivals):
+    def _run_batch(self, env, batch, index, timeline, pools):
         # admission window: plan only once a pipeline slot frees, so a
         # calibrating dispatcher plans this batch with the feedback of
         # the batches that already completed
@@ -541,7 +555,7 @@ class NodeRuntime:
                 env.process(
                     self._gpu_part(
                         env, batch.kind, plan.gpu_items, plan.gpu_stats,
-                        timeline, pools, arrivals, rec, index,
+                        timeline, pools, rec, index,
                     )
                 )
             )
@@ -713,52 +727,21 @@ class NodeRuntime:
             rec.measured_cpu_seconds = seconds
         self._run_numeric(self.dispatcher.cpu_kernel, items, timeline)
 
-    @staticmethod
-    def _await_transfers(env, ticket, arrivals) -> list[Event]:
-        """The arrival events of the transfers ``ticket`` waits on, one
-        per ticket of its ``waits_on``; a ticket that ships blocks gets
-        its own event in ``arrivals``, which :meth:`_transfer_arrived`
-        triggers and drops.
-
-        As each wait key is in flight for exactly one open ticket, these
-        are the distinct events a map from every in-flight key to its
-        transfer's event gives, so a wait ends at the same instant.  An
-        open ticket of an earlier, halted run of this runtime has no
-        event here, and is not waited on.
-        """
-        events = [
-            arrivals[id(owner)] for owner in ticket.waits_on
-            if id(owner) in arrivals
-        ]
-        if ticket.ship_keys:
-            arrivals[id(ticket)] = env.event()
-        return events
-
-    @staticmethod
-    def _transfer_arrived(ticket, arrivals) -> None:
-        """Trigger and drop the arrival event of a committed ticket."""
-        arrivals.pop(id(ticket)).succeed()
-
-    def _gpu_part(self, env, kind, items, stats, timeline, pools, arrivals,
-                  rec, batch_index=0):
+    def _gpu_part(self, env, kind, items, stats, timeline, pools, rec,
+                  batch_index=0):
         """Ship a share's inputs and missing blocks, compute it on the
-        GPU streams and drain its results.
-
-        ``arrivals`` maps the ``id`` of each open transfer ticket of the
-        run to the event its commit triggers (see
-        :meth:`_await_transfers`): one entry per transfer, not one per
-        shipped key.
-        """
+        GPU streams and drain its results."""
         # double-buffered staging: hold one aggregation buffer from
         # transfer start until the kernel has consumed it.  Acquired
-        # *before* the cache reservation — a shipper that has marked
-        # blocks in flight must never queue behind batches that hold
-        # stage slots while waiting for those very blocks.
+        # *before* the cache reservation, so that the reservation and
+        # the link request below fall in one step: blocks are reserved
+        # in the order the FIFO link carries them, and a block this
+        # share waits on (in flight for an earlier batch) is resident
+        # when this share's own transfer ends.
         if pools.stage is not None:
             req = pools.stage.request()
             yield req
         ticket = None
-        arrival_events: list[Event] = []
         if self.naive_port:
             # no device cache: every block travels with its task, and
             # every tensor is a separate pageable transfer
@@ -773,10 +756,10 @@ class NodeRuntime:
             per_block = stats.unique_block_bytes / max(1, len(stats.block_keys))
             # two-phase write-once cache: reserve now, resident only when
             # the transfer completes — a concurrent batch sees in-flight
-            # blocks as *waits*, not hits (the TOCTOU fix)
+            # blocks as *waits*, not hits (the TOCTOU fix), and does not
+            # ship them again
             ticket = self.gpu_cache.begin_transfer(stats.block_parts, per_block)
             self._log_begin_transfer(kind, stats.block_keys, env.now, batch_index)
-            arrival_events = self._await_transfers(env, ticket, arrivals)
             block_bytes = ticket.bytes_to_ship
             bytes_in = stats.input_bytes + block_bytes
             plan_in = self.buffer_pool.plan(bytes_in)
@@ -795,7 +778,6 @@ class NodeRuntime:
             self.gpu_cache.commit_transfer(ticket)
             if ticket.ship_keys:
                 self._log_block_transfer(ticket.ship_keys, env.now, batch_index)
-                self._transfer_arrived(ticket, arrivals)
             if self.registry is not None:
                 reg = self.registry
                 if ticket.ship_keys:
@@ -812,18 +794,6 @@ class NodeRuntime:
                     )
         timeline.bytes_to_gpu += bytes_in
         timeline.block_bytes_shipped += block_bytes
-
-        # waiter path: blocks another batch had in flight must have
-        # *arrived* before this batch may compute on them
-        wait_t0 = env.now
-        pending = [ev for ev in arrival_events if not ev.triggered]
-        if pending:
-            yield AllOf(env, pending)
-        rec.block_wait_seconds = env.now - wait_t0
-        if self.registry is not None and rec.block_wait_seconds > 0:
-            self.registry.histogram("cache.block_wait_seconds").observe(
-                env.now, rec.block_wait_seconds
-            )
 
         # the read set only a tracer's gpu_compute record reads
         block_keys_read = (

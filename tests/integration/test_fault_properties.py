@@ -28,14 +28,13 @@ N_TASKS = 48
 
 
 def assert_totals_match_batches(tl) -> None:
-    """The five totals ``execute`` sums from ``tl.batches``, recomputed
+    """The four totals ``execute`` sums from ``tl.batches``, recomputed
     with the same expressions (so float totals match bit for bit)."""
     b = tl.batches
     assert tl.n_gpu_faults == sum(r.gpu_faults for r in b)
     assert tl.n_retries == sum(r.attempts - 1 for r in b)
     assert tl.n_fallback_items == sum(r.fallback_items for r in b)
     # same sum() in the same order: bit-identity IS the claim
-    assert tl.block_wait_seconds == sum(r.block_wait_seconds for r in b)
     assert tl.retry_wait_seconds == sum(r.retry_wait_seconds for r in b)
 
 

@@ -95,24 +95,6 @@ def test_concurrent_batch_waits_instead_of_hitting():
     assert third.hit_keys == ("a",)
 
 
-def test_waits_on_names_each_owning_transfer_once():
-    """A batch waiting on keys of two open transfers waits on both, in
-    issue order, each once however many of its keys it ships; a
-    committed transfer's keys are hits, not waits."""
-    cache = GpuBlockCache(1 << 20)
-    first = cache.begin_transfer(["a", "b", "c"], 100.0)
-    second = cache.begin_transfer(["d"], 100.0)
-    waiter = cache.begin_transfer(["d", "a", "b", "e"], 100.0)
-    assert waiter.wait_keys == ("d", "a", "b")
-    assert len(waiter.waits_on) == 2
-    assert waiter.waits_on[0] is first and waiter.waits_on[1] is second
-    assert first.waits_on == () and second.waits_on == ()
-    cache.commit_transfer(first)
-    later = cache.begin_transfer(["a", "d"], 100.0)
-    assert later.hit_keys == ("a",) and later.wait_keys == ("d",)
-    assert len(later.waits_on) == 1 and later.waits_on[0] is second
-
-
 def test_commit_of_foreign_ticket_raises():
     cache = GpuBlockCache(1 << 20)
     bogus = TransferTicket(("x",), (), (), 100)
@@ -241,8 +223,7 @@ class PerKeyCache:
     the cache used before it partitioned block families whole, with each
     in-flight key recording the ticket that ships it, and commit and
     abort landing a ticket only when every one of its ship keys is in
-    flight for that very ticket.  A ticket's ``waits_on`` is the owners
-    of its wait keys, read key by key, in first-key order."""
+    flight for that very ticket."""
 
     def __init__(self, capacity_bytes):
         self.capacity_bytes = capacity_bytes
@@ -280,8 +261,7 @@ class PerKeyCache:
                 f"GPU block cache overflow: {used + total} bytes "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-        owners = tuple(dict.fromkeys(self._in_flight[k] for k in waits))
-        ticket = TransferTicket(ship, waits, hits, total, waits_on=owners)
+        ticket = TransferTicket(ship, waits, hits, total)
         for k in ship:
             self._in_flight[k] = ticket
         self.reserved_bytes += total
@@ -375,9 +355,7 @@ def test_whole_batch_partition_matches_the_per_key_reference(capacity, ops):
     included), counters, byte totals and errors as the per-key cache,
     whether a batch's keys come flat or as the block-family parts of a
     fold: disjoint parts, parts whose keys are in different states, and
-    families that repeat keys or overlap one another.  Each ticket
-    waits on the tickets that own its wait keys key by key, listed once
-    each, in issue order."""
+    families that repeat keys or overlap one another."""
     fast, ref = GpuBlockCache(capacity), PerKeyCache(capacity)
     tickets = []  # (fast ticket, reference ticket) of each begin
     kind = TaskKind("t", 0)
@@ -397,13 +375,6 @@ def test_whole_batch_partition_matches_the_per_key_reference(capacity, ops):
             got = _outcome(lambda: fast.begin_transfer(given_keys, per_block))
             want = _outcome(lambda: ref.begin_transfer(keys, per_block))
             if got[0] == want[0] == "ok":
-                # the same transfers waited on, in issue order
-                issued = {}
-                for i, (mine, theirs) in enumerate(tickets):
-                    issued[id(mine)] = issued[id(theirs)] = i
-                assert [issued[id(t)] for t in got[1].waits_on] == sorted(
-                    issued[id(t)] for t in want[1].waits_on
-                ), op
                 tickets.append((got[1], want[1]))
         elif tickets:
             verb, index = op

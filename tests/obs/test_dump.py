@@ -1,8 +1,11 @@
 """Unit tests for canonical trace dumps."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs.dump import (
+    _SUMMARY_FIELDS,
     DUMP_SCHEMA,
     DUMP_VERSION,
     DumpError,
@@ -14,6 +17,8 @@ from repro.obs.dump import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scenarios import run_scenario
+from repro.recovery.protocol import _SUMMED_FIELDS
+from repro.runtime.node import NodeTimeline
 from repro.runtime.trace import RuntimeLogRecord, TraceEvent, Tracer
 
 
@@ -135,11 +140,13 @@ class TestTimelineSummary:
         assert summary["total_seconds"] == pytest.approx(run.makespan)
         assert summary["gpu_busy"] > 0
 
-    def test_absent_fields_skipped(self):
-        class Minimal:
-            total_seconds = 1.0
-
-        assert timeline_summary(Minimal()) == {"total_seconds": 1.0}
+    def test_summary_fields_are_timeline_fields(self):
+        # a field deleted from the timeline but left in either list
+        # fails here, not first in a dump or a recovery run
+        fields = {f.name for f in dataclasses.fields(NodeTimeline)}
+        assert set(_SUMMARY_FIELDS) <= fields
+        assert set(_SUMMED_FIELDS) <= fields
+        assert list(timeline_summary(NodeTimeline())) == list(_SUMMARY_FIELDS)
 
 
 class TestCheckpointSegments:

@@ -1,7 +1,5 @@
 """Tests for the pipelined node runtime: overlap, admission, feedback."""
 
-import pytest
-
 from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
@@ -140,11 +138,3 @@ def test_shared_dispatcher_not_mutated_by_execute():
     rt.execute(make_tasks(30))
     assert rt.dispatcher.plan(batch) == before
 
-
-def test_block_wait_seconds_accounted():
-    """In-flight block waits surface on the timeline (never negative)."""
-    tl = make_runtime("hybrid").execute(make_tasks(150))
-    assert tl.block_wait_seconds >= 0.0
-    assert tl.block_wait_seconds == pytest.approx(
-        sum(b.block_wait_seconds for b in tl.batches)
-    )

@@ -323,30 +323,47 @@ def test_pruned_split_search_matches_the_full_scan(
     prefixes = HybridDispatcher._running_stats(items, BlockFold())
     suffixes = HybridDispatcher._running_stats(items[::-1], BlockFold())
     want = full_scan_cut(disp, prefixes, suffixes, estimator)
-    assert disp._best_cut(prefixes, suffixes, estimator) == want
+    m, _ = disp.device_estimates(prefixes[-1], estimator)
+    assert disp._best_cut(prefixes, suffixes, m, estimator) == want
     batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
     assert len(disp.plan(batch, transfer_estimator=estimator).cpu_items) == want
 
 
 def test_pruned_split_search_prices_fewer_gpu_sides():
     """On a batch of equal items the CPU side grows with the cut, so
-    once a cut wins every later cut's GPU side is skipped."""
+    once a cut wins every later cut's GPU side is skipped.  The last
+    cut's CPU side is the plan's ``m``, so a hybrid plan prices each
+    prefix on the CPU once: n CPU timings for n items."""
     disp = _dispatcher("custom", 10, 5, 1.0, 1.0)
-    priced = []
+    cpu_priced, gpu_priced = [], []
+    cpu_share_seconds = disp.cpu_share_seconds
     gpu_share_seconds = disp.gpu_share_seconds
 
-    def counting(stats, transfer_estimator=None):
-        priced.append(stats.n_items)
+    def counting_cpu(stats):
+        cpu_priced.append(stats.n_items)
+        return cpu_share_seconds(stats)
+
+    def counting_gpu(stats, transfer_estimator=None):
+        gpu_priced.append(stats.n_items)
         return gpu_share_seconds(stats, transfer_estimator)
 
-    disp.gpu_share_seconds = counting
+    disp.cpu_share_seconds = counting_cpu
+    disp.gpu_share_seconds = counting_gpu
     items = [_item(50_000_000) for _ in range(40)]
     prefixes = HybridDispatcher._running_stats(items, BlockFold())
     suffixes = HybridDispatcher._running_stats(items[::-1], BlockFold())
-    cut = disp._best_cut(prefixes, suffixes, pcie_estimate)
+    m, _ = disp.device_estimates(prefixes[-1], pcie_estimate)
+    cpu_priced.clear()
+    gpu_priced.clear()
+    cut = disp._best_cut(prefixes, suffixes, m, pcie_estimate)
     assert 0 < cut < len(items)
-    assert len(priced) < len(items) + 1
+    assert len(gpu_priced) < len(items) + 1
+    assert cpu_priced == list(range(1, len(items)))
     assert cut == full_scan_cut(disp, prefixes, suffixes, pcie_estimate)
+    cpu_priced.clear()
+    batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
+    assert len(disp.plan(batch, transfer_estimator=pcie_estimate).cpu_items) == cut
+    assert sorted(cpu_priced) == list(range(1, len(items) + 1))
 
 
 @given(

@@ -1,5 +1,5 @@
-"""Slot holds without a DES process per slot, and block waits without
-a per-key in-flight map.
+"""Slot holds without a DES process per slot, and operator blocks
+reserved in the order the link carries them.
 
 ``NodeRuntime._occupy_slices`` holds a share's CPU-thread or GPU-stream
 slots through grant and timeout callbacks.  :class:`PerSlotRuntime`
@@ -8,22 +8,23 @@ by an ``AllOf`` — as the reference: on random node configurations, with
 and without faults, both runtimes give the same ``NodeTimeline``, the
 same trace spans in the same order and the same structured log.
 
-``NodeRuntime._await_transfers`` keeps one arrival event per open
-transfer ticket and waits on the tickets of ``waits_on``.
-:class:`PerKeyInflightRuntime` keeps the per-key map it replaced — every
-shipped key to its transfer's event, one event per wait key — as the
-reference of the same comparison, on configurations whose batches wait
-on blocks in flight.
+A GPU share reserves its blocks in the step it requests the FIFO
+host-to-device link, so a block it finds in flight for another batch
+is resident before its own transfer ends, and it computes on the block
+without waiting.  :class:`WaitCheckingCache` records, at each commit,
+whether that held.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RuntimeConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import GpuFailure, PcieDegradation, StragglerNode
 from repro.faults.policies import DegradedModeController, RetryPolicy
@@ -33,8 +34,9 @@ from repro.hardware.specs import TITAN_NODE
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
 from repro.kernels.gpu_cache import GpuBlockCache
+from repro.lint.trace_check import verify_tracer
 from repro.runtime.dispatcher import AdaptiveDispatcher, HybridDispatcher
-from repro.runtime.events import AllOf, Environment
+from repro.runtime.events import AllOf, Environment, scheduling_perturbation
 from repro.runtime.node import NodeRuntime
 from repro.runtime.task import HybridTask, TaskKind, WorkItem
 from repro.runtime.trace import Tracer
@@ -66,22 +68,17 @@ class PerSlotRuntime(NodeRuntime):
         ])
 
 
-class PerKeyInflightRuntime(NodeRuntime):
-    """Reference: every shipped key maps to its transfer's arrival
-    event, and a waiting share collects one event per wait key."""
+class WaitCheckingCache(GpuBlockCache):
+    """A device cache that records, at each commit, whether the
+    ticket's wait keys are already resident."""
 
-    @staticmethod
-    def _await_transfers(env, ticket, inflight):
-        events = [inflight[k] for k in ticket.wait_keys if k in inflight]
-        if ticket.ship_keys:
-            arrived = env.event()
-            for part in ticket.ship_parts:
-                inflight.update(dict.fromkeys(part, arrived))
-        return events
+    def __init__(self, capacity_bytes):
+        super().__init__(capacity_bytes)
+        self.waits_resident: list[bool] = []
 
-    @staticmethod
-    def _transfer_arrived(ticket, inflight):
-        inflight[ticket.ship_keys[0]].succeed()
+    def commit_transfer(self, ticket):
+        self.waits_resident.append(all(k in self for k in ticket.wait_keys))
+        super().commit_transfer(ticket)
 
 
 def _tasks(sizes, families) -> list[HybridTask]:
@@ -163,7 +160,17 @@ def _configs(draw, waiting=False):
     return cfg, _tasks(sizes, families)
 
 
-def _run(cls, cfg, tasks):
+#: a pipelined GPU-only node whose batches of two items often find
+#: their blocks in flight
+_FIXED = {
+    "mode": "gpu", "threads": 4, "streams": 4, "batch": 2,
+    "flush": 1e-4, "pipelined": True, "adaptive": False,
+    "naive": False, "faults": [], "retries": 3, "degraded": None,
+}
+
+
+def _runtime(cls, cfg) -> NodeRuntime:
+    """A traced runtime of class ``cls`` for one drawn configuration."""
     cpu = CpuMtxmKernel(CpuModel(TITAN_NODE.cpu))
     gpu = CustomGpuKernel(GpuModel(TITAN_NODE.gpu))
     if cfg["adaptive"] and cfg["mode"] == "hybrid":
@@ -182,23 +189,26 @@ def _run(cls, cfg, tasks):
         degraded = DegradedModeController(
             fault_threshold=threshold, probe_interval=probe
         )
-    tracer = Tracer()
-    runtime = cls(
+    return cls(
         TITAN_NODE,
         dispatcher,
         flush_interval=cfg["flush"],
         max_batch_size=cfg["batch"],
         naive_port=cfg["naive"],
         pipelined=cfg["pipelined"],
-        tracer=tracer,
+        tracer=Tracer(),
         fault_injector=FaultInjector(seed=11, faults=cfg["faults"]),
         retry_policy=RetryPolicy(max_attempts=cfg["retries"]),
         degraded_mode=degraded,
     )
+
+
+def _run(cls, cfg, tasks):
+    runtime = _runtime(cls, cfg)
     timeline = runtime.execute(tasks)
-    history = getattr(dispatcher, "history", None)
-    return (dataclasses.asdict(timeline), tracer.events, tracer.log, history,
-            runtime.gpu_cache.stats)
+    history = getattr(runtime.dispatcher, "history", None)
+    return (dataclasses.asdict(timeline), runtime.tracer.events,
+            runtime.tracer.log, history)
 
 
 @given(_configs())
@@ -207,92 +217,67 @@ def test_slot_callbacks_match_the_per_slot_processes(config):
     """Same timeline, same spans in the same order, same structured log
     (and the same calibration history) as one process per slot."""
     cfg, tasks = config
-    got = _run(NodeRuntime, cfg, tasks)
-    want = _run(PerSlotRuntime, cfg, tasks)
-    assert got[0] == want[0]
-    assert got[1] == want[1]
-    assert got[2] == want[2]
-    assert got[3] == want[3]
+    assert _run(NodeRuntime, cfg, tasks) == _run(PerSlotRuntime, cfg, tasks)
 
 
-@given(_configs(waiting=True))
+def _check_waits(cfg, tasks, perturb=None) -> WaitCheckingCache:
+    """Run ``tasks`` on a :class:`WaitCheckingCache`, with same-instant
+    ties drawn from the seed ``perturb`` when it is given; assert that
+    every commit found the ticket's wait keys resident and that the
+    run's log has no happens-before violation.  Returns the cache."""
+    runtime = _runtime(NodeRuntime, cfg)
+    runtime.gpu_cache = cache = WaitCheckingCache(TITAN_NODE.gpu.ram_bytes)
+    if perturb is None:
+        runtime.execute(tasks)
+    else:
+        with scheduling_perturbation(random.Random(perturb)):
+            runtime.execute(tasks)
+    assert all(cache.waits_resident)
+    verify_tracer(runtime.tracer)
+    return cache
+
+
+@given(_configs(waiting=True), st.none() | st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_one_arrival_per_transfer_matches_the_per_key_map(config):
-    """Same timeline, same spans in the same order, same structured log,
-    calibration history and cache counters as the per-key in-flight map,
-    on runs whose batches wait on blocks in flight."""
+def test_waited_blocks_are_resident_when_the_transfer_ends(config, perturb):
+    """On runs whose batches begin transfers while another batch ships
+    their blocks, faults included, every batch's wait keys are resident
+    when its own transfer commits, and ``trace_check`` (invariant 5:
+    no kernel reads a block before it arrived) finds nothing — also
+    when same-instant ties are perturbed, as ``make races`` does."""
     cfg, tasks = config
-    got = _run(NodeRuntime, cfg, tasks)
-    want = _run(PerKeyInflightRuntime, cfg, tasks)
-    event(f"waits: {bool(got[4].waits)}")
-    assert got == want
+    cache = _check_waits(cfg, tasks, perturb)
+    event(f"waits: {bool(cache.stats.waits)}")
 
 
 def test_batches_wait_on_blocks_in_flight():
     """The waiting draws reach the cache's wait path: here batches over
     two families of 24 keys begin transfers of blocks another batch
-    ships, and both runtimes agree.  (Transfers queue FIFO on the one
-    host-to-device link, so the owner commits before the waiter's own
-    transfer ends, and the wait takes no simulated time here;
-    :func:`test_waits_end_where_the_per_key_map_ends_them` times waits
-    that do.)"""
+    ships, and each finds them resident when its own transfer ends."""
     families = [tuple(range(24)), tuple(range(24, 48))]
-    cfg = {
-        "mode": "gpu", "threads": 4, "streams": 4, "batch": 2,
-        "flush": 1e-4, "pipelined": True, "adaptive": False,
-        "naive": False, "faults": [], "retries": 3, "degraded": None,
-    }
     tasks = _tasks([(20_000_000, 20)] * 40, families)
-    got = _run(NodeRuntime, cfg, tasks)
-    want = _run(PerKeyInflightRuntime, cfg, tasks)
-    assert got == want
-    assert got[4].waits > 0
+    cache = _check_waits(_FIXED, tasks)
+    assert cache.stats.waits > 0
 
 
-def _wait_ends(cls, batches, delays):
-    """Begin each batch's transfer on one cache, have every waiting
-    batch wait on ``cls._await_transfers``'s events through an
-    ``AllOf``, then commit each shipping ticket ``delays[i]`` after the
-    start; returns each wait's (batch, end instant) in the order the
-    waits end, and the events processed."""
-    env = Environment()
-    cache = GpuBlockCache(1 << 20)
-    arrivals: dict = {}
-    ends: list = []
-    tickets = []
-    for i, keys in enumerate(batches):
-        ticket = cache.begin_transfer(keys, 1.0)
-        done = AllOf(env, cls._await_transfers(env, ticket, arrivals))
-        done.callbacks.append(lambda _value, i=i: ends.append((i, env.now)))
-        tickets.append(ticket)
-
-    def commit(ticket, delay):
-        yield env.timeout(delay)
-        cache.commit_transfer(ticket)
-        cls._transfer_arrived(ticket, arrivals)
-
-    for ticket, delay in zip(tickets, delays):
-        if ticket.ship_keys:
-            env.process(commit(ticket, delay))
-    env.run()
-    return ends, env.n_processed
-
-
-@given(
-    st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=8),
-             min_size=1, max_size=8),
-    st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_waits_end_where_the_per_key_map_ends_them(batches, data):
-    """Batches begin transfers over overlapping keys while earlier ones
-    are in flight, and the transfers commit at drawn instants, ties
-    included.  Each wait over one event per owning transfer ends at the
-    instant, and in the order, that the per-key map's one event per wait
-    key ends it, with as many events processed."""
-    delays = [data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) for _ in batches]
-    got = _wait_ends(NodeRuntime, batches, delays)
-    assert got == _wait_ends(PerKeyInflightRuntime, batches, delays)
+def test_a_halted_runtime_cannot_run_again():
+    """A run halted mid-flight leaves its transfers in flight on the
+    runtime's device cache, so a second ``execute`` raises instead of
+    counting waits on blocks no transfer will bring.  A run that
+    finished before its ``halt_at`` was not halted, and its runtime
+    runs again."""
+    families = [tuple(range(24 * i, 24 * (i + 1))) for i in range(6)]
+    tasks = _tasks([(20_000_000, 20)] * 120, families)
+    clean = _runtime(NodeRuntime, _FIXED).execute(tasks)
+    runtime = _runtime(NodeRuntime, _FIXED)
+    halted = runtime.execute(tasks, halt_at=clean.total_seconds * 150 / 4000)
+    assert halted.halted_at is not None
+    assert sum(runtime.gpu_cache.in_flight(k) for f in families for k in f) == 96
+    with pytest.raises(RuntimeConfigError, match="halted"):
+        runtime.execute(tasks)
+    finished = _runtime(NodeRuntime, _FIXED)
+    assert finished.execute(tasks, halt_at=clean.total_seconds * 2).halted_at is None
+    assert finished.execute(tasks).halted_at is None
 
 
 def _processes_started(cls, mode, threads, streams) -> int:
