@@ -8,7 +8,10 @@ Two jobs:
   ``REPRO_BENCH_SCALE=0.1``, the CI smoke setting);
 - maintain ``BENCH_serve.json`` at the repo root: one fixed seeded
   scenario (independent of ``REPRO_BENCH_SCALE``) whose deterministic
-  outputs (p99, goodput, job/batch/event counts) are pinned exactly.
+  outputs (p99, goodput, job, batch and ledger-step counts) are pinned
+  exactly.  ``n_events`` is ``ServeResult.n_events``, the ledger's
+  steps (arrivals, batches, completions, failed batches and scale
+  decisions), not the DES event counter.
   It records no host time: ``perf/`` measures that.  Regenerate with
   ``REPRO_BENCH_WRITE=1 pytest benchmarks/test_serve.py``.
 """

@@ -33,7 +33,7 @@ from repro.serve.arrivals import (
     TraceArrivals,
 )
 from repro.serve.autoscaler import AutoscalerConfig, ReactiveAutoscaler
-from repro.serve.batcher import CrossJobBatcher, SubTask
+from repro.serve.batcher import CrossJobBatcher, Run
 from repro.serve.jobs import (
     DEFAULT_CLASSES,
     JOB_TEMPLATES,
@@ -64,10 +64,10 @@ __all__ = [
     "JobTemplate",
     "PoissonArrivals",
     "ReactiveAutoscaler",
+    "Run",
     "ServeConfig",
     "ServeResult",
     "SloClass",
-    "SubTask",
     "TokenBucket",
     "TraceArrivals",
 ]

@@ -82,7 +82,7 @@ class ReactiveAutoscaler:
     ) -> int | None:
         """The new pool size, or ``None`` to hold.
 
-        ``queue_delay`` is the age of the oldest queued sub-task;
+        ``queue_delay`` is the age of the oldest queued item;
         ``queue_depth`` the backlog size (a shrink needs both calm).
         ``dead_ranks`` is how many ranks inside the current pool have
         crashed: the controller reasons about *live* capacity, so a

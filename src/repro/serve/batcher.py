@@ -1,11 +1,19 @@
 """Cross-job shape-bucketed batching with EDF-within-class dispatch.
 
-The MoE static-batching idea applied across jobs: ready sub-tasks are
+The MoE static-batching idea applied across jobs: ready items are
 bucketed by :class:`~repro.runtime.task.TaskKind` — uniformly shaped,
 so one batch is one aggregated transfer + kernel launch — and a batch
 may mix items of *different* jobs that share a kind.  Because job
 templates fold the SLO class into the kind signature
 (:mod:`repro.serve.jobs`), a bucket never mixes classes.
+
+A bucket entry is a :class:`Run`: contiguous items of one job stage,
+which all share one work item.  A stage enters the queue as one run
+and a requeue as one run per contiguous stretch of a job's items.
+Each queued item still has its own ``seq``: a run takes ``count``
+consecutive numbers, and a run split at the batch cap leaves its
+remainder at ``seq + taken``.  So a run is queued, ranked, aged and
+dispatched exactly as its items one by one would be.
 
 Dispatch policy, per ``next_batch`` call:
 
@@ -18,20 +26,23 @@ Dispatch policy, per ``next_batch`` call:
   entirely and dispatch the bucket holding the globally oldest item.
 
 The batcher also answers the two signals the rest of the service
-polls: total backlog (``depth`` — the admission controller's shedding
-input) and the age of the oldest queued item (``oldest_wait`` — the
-autoscaler's observed queue delay).
+polls: total backlog in items (``depth`` — the admission controller's
+shedding input) and the age of the oldest queued item (``oldest_wait``
+— the autoscaler's observed queue delay).
 
 Cost: ``add``, ``next_batch`` and ``oldest_wait`` take amortized time
-logarithmic in the number of buckets, whatever the backlog.  Two heaps
-hold bucket heads, one keyed by dispatch rank and one by enqueue time.
-A bucket that gets a new head pushes it onto both; an entry whose head
-has since left its bucket is dropped when it reaches the top (lazy
-invalidation, like the stealing engine's victim board), and a heap
-that grows past twice the bucket count is rebuilt from its live
-entries.  A head's keys never change while it waits: ``seq`` is
-unique, and a queued job's class and deadline are fixed at admission.
-``purge_job`` scans the backlog; it runs only when a job is dropped.
+logarithmic in the number of buckets, whatever the backlog; ``add``
+runs once per run, not per item, and ``next_batch`` once per run it
+takes.  Two heaps hold bucket heads, one keyed by dispatch rank and
+one by enqueue time.  A bucket that gets a new head pushes it onto
+both; an entry whose head has since left its bucket is dropped when it
+reaches the top (lazy invalidation, like the stealing engine's victim
+board), and a heap that grows past twice the bucket count is rebuilt
+from its live entries.  A head's keys never change while it waits:
+``seq`` is unique, and a queued job's class and deadline are fixed at
+admission.  ``purge_job`` scans the backlog; it runs only when a job
+is dropped.  No item id is formatted here: :meth:`Run.ids` does that
+for the trace records that name items.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from repro.errors import ReproError
+from repro.runtime.task import WorkItem
 from repro.serve.jobs import Job
 
 
@@ -49,31 +61,33 @@ class BatcherError(ReproError, ValueError):
 
 
 @dataclass(eq=False, slots=True)
-class SubTask:
-    """One ready work item of one job, queued for dispatch.
+class Run:
+    """Items ``first .. first+count-1`` of stage ``stage`` of ``job``,
+    all of them the work item ``item``.
 
-    Not frozen: a frozen dataclass sets each field through
-    ``object.__setattr__``, which tripled the cost of building the one
-    sub-task per queued item; nothing assigns to a sub-task's fields.
+    ``seq`` and ``enqueued_at`` are the batcher's: ``add`` stamps them,
+    and they are the first item's enqueue number and the run's enqueue
+    instant.  A run in a batch is the batcher's no longer, and may be
+    queued again.
     """
 
     job: Job
-    item_id: str
-    item: object  # WorkItem; typed loosely to avoid an import cycle
+    stage: int
+    first: int
+    count: int
+    item: WorkItem
+    seq: int = 0
+    enqueued_at: float = 0.0
 
-    @property
-    def kind_key(self) -> str:
-        """The shape bucket this sub-task lands in."""
-        return self.item.kind.label
-
-
-@dataclass(slots=True)
-class _Entry:
-    """One queued sub-task with its enqueue bookkeeping."""
-
-    seq: int
-    enqueued_at: float
-    task: SubTask
+    def ids(self) -> list[str]:
+        """The run's item ids, in order, formatted on each call:
+        ``"<job>.s<stage>.i<n>"``.  Strings, which the dump
+        canonicalizer passes through verbatim, and whose ``"j<n>."``
+        prefix is how trace_check invariant #9 attributes compute
+        records back to jobs."""
+        prefix = f"{self.job.job_id}.s{self.stage}.i"
+        first = self.first
+        return [f"{prefix}{n}" for n in range(first, first + self.count)]
 
 
 class CrossJobBatcher:
@@ -91,8 +105,8 @@ class CrossJobBatcher:
             )
         self.max_batch_size = max_batch_size
         self.fifo = fifo
-        #: kind key -> its queued entries, FIFO; never empty
-        self._buckets: dict[str, deque[_Entry]] = {}
+        #: kind key -> its queued runs, FIFO; never empty
+        self._buckets: dict[str, deque[Run]] = {}
         #: bucket heads as ``(rank, seq, key)``, stale ones included
         self._by_rank: list[tuple] = []
         #: bucket heads as ``(enqueued_at, seq, key)``, stale ones included
@@ -100,25 +114,26 @@ class CrossJobBatcher:
         self._seq = 0
         self._depth = 0
 
-    def add(self, task: SubTask, now: float) -> None:
-        """Queue one ready sub-task."""
-        entry = _Entry(self._seq, now, task)
-        self._seq += 1
-        self._depth += 1
-        key = task.kind_key
+    def add(self, run: Run, now: float) -> None:
+        """Queue one run of ready items at instant ``now``."""
+        run.seq = self._seq
+        run.enqueued_at = now
+        self._seq += run.count
+        self._depth += run.count
+        key = run.item.kind.label
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = deque((entry,))
-            self._new_head(key, entry)
+            self._buckets[key] = deque((run,))
+            self._new_head(key, run)
         else:
-            bucket.append(entry)
+            bucket.append(run)
 
     def depth(self) -> int:
-        """Total queued sub-tasks across all buckets."""
+        """Total queued items across all buckets."""
         return self._depth
 
     def oldest_wait(self, now: float) -> float:
-        """Age of the oldest queued sub-task (0.0 when empty) — the
+        """Age of the oldest queued item (0.0 when empty) — the
         observed queue delay the autoscaler reacts to."""
         top = self._top(self._by_age)
         return 0.0 if top is None else now - top[0]
@@ -128,10 +143,10 @@ class CrossJobBatcher:
         head = self._buckets[key][0]
         if self.fifo:
             return (head.seq,)
-        job = head.task.job
+        job = head.job
         return (job.slo.priority, job.deadline, head.seq)
 
-    def _new_head(self, key: str, head: _Entry) -> None:
+    def _new_head(self, key: str, head: Run) -> None:
         """Enter ``head``, now first in bucket ``key``, in both heaps.
 
         Each live bucket has exactly one current entry per heap, so a
@@ -160,47 +175,60 @@ class CrossJobBatcher:
             heappop(heap)
         return heap[0] if heap else None
 
-    def purge_job(self, job: Job) -> list[SubTask]:
-        """Remove every queued sub-task of ``job``, returning them in
-        queue order.
+    def purge_job(self, job: Job) -> list[Run]:
+        """Remove every queued run of ``job``, returning them in queue
+        order.
 
         A dropped job's backlog leaves the queue with it — keeping the
         items would waste pool time on work whose results can never
         complete the job.
         """
-        removed: list[SubTask] = []
+        removed: list[Run] = []
         for key in list(self._buckets):
             bucket = self._buckets[key]
-            kept = deque(e for e in bucket if e.task.job is not job)
+            kept = deque(r for r in bucket if r.job is not job)
             if len(kept) == len(bucket):
                 continue
-            removed.extend(e.task for e in bucket if e.task.job is job)
+            removed.extend(r for r in bucket if r.job is job)
             if not kept:
                 del self._buckets[key]
                 continue
             self._buckets[key] = kept
             if kept[0] is not bucket[0]:
                 self._new_head(key, kept[0])
-        self._depth -= len(removed)
+        self._depth -= sum(r.count for r in removed)
         return removed
 
-    def next_batch(self) -> list[SubTask] | None:
+    def next_batch(self) -> list[Run] | None:
         """Pop the next batch to dispatch, or ``None`` when idle.
 
         The chosen bucket yields up to ``max_batch_size`` items in
-        FIFO order; the batch never spans buckets (one kind = one
-        uniformly-shaped transfer buffer).
+        FIFO order, as runs; a run longer than the room left is split,
+        and its remainder stays at the bucket's head.  The batch never
+        spans buckets (one kind = one uniformly-shaped transfer buffer).
         """
         if self._top(self._by_rank) is None:
             return None
         key = heappop(self._by_rank)[2]
         bucket = self._buckets[key]
-        batch: list[SubTask] = []
-        while bucket and len(batch) < self.max_batch_size:
-            batch.append(bucket.popleft().task)
+        batch: list[Run] = []
+        room = self.max_batch_size
+        while bucket and room:
+            run = bucket[0]
+            if run.count <= room:
+                batch.append(bucket.popleft())
+                room -= run.count
+            else:
+                batch.append(
+                    Run(run.job, run.stage, run.first, room, run.item)
+                )
+                run.first += room
+                run.count -= room
+                run.seq += room
+                room = 0
         if bucket:
             self._new_head(key, bucket[0])
         else:
             del self._buckets[key]
-        self._depth -= len(batch)
+        self._depth -= self.max_batch_size - room
         return batch

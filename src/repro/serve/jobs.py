@@ -100,9 +100,11 @@ JOB_TEMPLATES = {
 class Job:
     """One admitted job in flight.
 
-    ``stages[i]`` pairs item ids with their work item, one object
-    shared by the whole stage; the service submits stage ``i+1`` when
-    ``remaining`` of stage ``i`` hits zero.
+    ``stages[i]`` is the one :class:`WorkItem` every item of stage ``i``
+    shares; a stage holds ``template.items_per_stage`` items, which the
+    service queues as one :class:`~repro.serve.batcher.Run`.  It
+    submits stage ``i+1`` when ``remaining`` (an item count) of stage
+    ``i`` hits zero.
     ``deadline`` is absolute (admission instant + the class budget).
     ``requeues`` counts how many times a crashed or faulted worker sent
     the job's items back to the queue; once it exceeds the service's
@@ -113,7 +115,7 @@ class Job:
     tenant: int
     template: JobTemplate
     slo: SloClass
-    stages: list[list[tuple[str, WorkItem]]]
+    stages: tuple[WorkItem, ...]
     arrived_at: float = 0.0
     admitted_at: float = 0.0
     deadline: float = 0.0
@@ -122,11 +124,6 @@ class Job:
     completed_at: float = field(default=-1.0)
     requeues: int = 0
     failed_reason: str | None = None
-
-    @property
-    def n_items(self) -> int:
-        """Total work items across all stages."""
-        return sum(len(stage) for stage in self.stages)
 
     @property
     def done(self) -> bool:
@@ -159,6 +156,7 @@ def build_job(
     slo: SloClass,
     *,
     shared_kinds: bool = True,
+    stages: tuple[WorkItem, ...] | None = None,
 ) -> Job:
     """Materialize one job from its template.
 
@@ -170,23 +168,21 @@ def build_job(
 
     The items of one stage are identical, so they share one
     :class:`WorkItem` (and one :class:`TaskKind`): serving prices items
-    by their cost fields and logs them by id, never by object.  Item
-    ids are ``"<job>.s<stage>.i<n>"`` — strings, which the dump
-    canonicalizer passes through verbatim, and whose ``"j<n>."``
-    prefix is how trace_check invariant #9 attributes compute records
-    back to jobs.
+    by their cost fields and logs them by id, never by object.
+    ``stages`` hands in the stage items of an earlier job of the same
+    (template, class), so that jobs share them too; the service does so
+    within one run under cross-job batching, which lets the price model
+    reuse the previous item's price across jobs.  No item id is
+    formatted here: :meth:`repro.serve.batcher.Run.ids` formats them
+    for the trace records that name items.
     """
-    stages: list[list[tuple[str, WorkItem]]] = []
-    for si, stage in enumerate(template.stages):
+    if stages is None:
         signature: tuple = (slo.name, template.q)
         if not shared_kinds:
             signature = signature + (job_id,)
-        item = _stage_item(stage, template.q, signature)
-        stages.append(
-            [
-                (f"{job_id}.s{si}.i{ii}", item)
-                for ii in range(template.items_per_stage)
-            ]
+        stages = tuple(
+            _stage_item(stage, template.q, signature)
+            for stage in template.stages
         )
     job = Job(
         job_id=job_id,
@@ -195,5 +191,5 @@ def build_job(
         slo=slo,
         stages=stages,
     )
-    job.remaining = len(stages[0])
+    job.remaining = template.items_per_stage
     return job

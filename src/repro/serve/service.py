@@ -50,7 +50,7 @@ from repro.runtime.trace import Tracer
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.arrivals import JobRequest
 from repro.serve.autoscaler import AutoscalerConfig, ReactiveAutoscaler
-from repro.serve.batcher import CrossJobBatcher, SubTask
+from repro.serve.batcher import CrossJobBatcher, Run
 from repro.serve.jobs import (
     DEFAULT_CLASSES,
     JOB_TEMPLATES,
@@ -63,6 +63,12 @@ from repro.serve.jobs import (
 
 class ServeConfigError(ReproError, ValueError):
     """The service was configured with invalid parameters."""
+
+
+def _ids(runs: list[Run]) -> list[str]:
+    """The item ids of ``runs``, in order — formatted only for the
+    trace records that name items."""
+    return [item_id for run in runs for item_id in run.ids()]
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,15 @@ class JobOutcome:
 
 @dataclass
 class ServeResult:
-    """Aggregate outcome of one service run."""
+    """Aggregate outcome of one service run.
+
+    ``n_events`` counts the run's ledger steps, not DES events: job
+    arrivals, finished batches, job completions, failed batches and
+    autoscaler scale decisions.  A run with no shedding, faults or
+    autoscaler takes one step per arrival, per batch and per completed
+    job.  The DES event counter is
+    :attr:`repro.runtime.events.Environment.n_processed`.
+    """
 
     outcomes: list[JobOutcome]
     makespan: float
@@ -361,7 +375,10 @@ class JobService:
         dead: set[int] = set()
         #: rank -> the batch it is currently executing (chaos only;
         #: lets a drop cancel a failed job's mid-flight items)
-        in_flight: dict[int, list[SubTask]] = {}
+        in_flight: dict[int, list[Run]] = {}
+        #: (template, SLO class) -> the stage items its jobs share;
+        #: stays empty without cross-job batching (salted kinds)
+        shared_stages: dict[tuple[str, str], tuple] = {}
         armed_killers: set[int] = set()
 
         def wake_all() -> None:
@@ -381,12 +398,15 @@ class JobService:
                 wake_all()
 
         def submit_stage(job: Job, at: float) -> None:
-            stage = job.stages[job.stage_index]
-            job.remaining = len(stage)
-            for item_id, item in stage:
-                if self.tracer is not None:
-                    self.tracer.log_submit(str(item.kind), item_id, at)
-                batcher.add(SubTask(job, item_id, item), at)
+            si = job.stage_index
+            item = job.stages[si]
+            run = Run(job, si, 0, job.template.items_per_stage, item)
+            job.remaining = run.count
+            if self.tracer is not None:
+                kind = item.kind.label
+                for item_id in run.ids():
+                    self.tracer.log_submit(kind, item_id, at)
+            batcher.add(run, at)
             self._gauge("serve.queue_depth", at, batcher.depth())
 
         def complete_job(job: Job, at: float) -> None:
@@ -407,7 +427,7 @@ class JobService:
             maybe_finish(at)
 
         def drop_job(
-            job: Job, dead_tasks: list[SubTask], at: float,
+            job: Job, dead_runs: list[Run], at: float,
             reason: str, rank: int,
         ) -> None:
             """Fail ``job`` for good: the drop record retires every
@@ -415,19 +435,17 @@ class JobService:
             backlog's (purged here) and any mid-flight on other ranks
             (their accumulate will skip them)."""
             job.failed_reason = reason
-            ids = [t.item_id for t in dead_tasks]
-            ids.extend(t.item_id for t in batcher.purge_job(job))
-            for r in sorted(in_flight):
-                if r == rank:
-                    continue
-                ids.extend(
-                    t.item_id for t in in_flight[r] if t.job is job
-                )
+            runs = dead_runs + batcher.purge_job(job)
             outcome = job_outcomes[job.job_id]
             outcome.dropped_reason = reason
             if self.tracer is not None:
+                for r in sorted(in_flight):
+                    if r != rank:
+                        runs.extend(
+                            run for run in in_flight[r] if run.job is job
+                        )
                 self.tracer.log_requeue(
-                    reason, ids, at, attempt=job.requeues, rank=rank
+                    reason, _ids(runs), at, attempt=job.requeues, rank=rank
                 )
                 # a dropped job can never meet its deadline
                 self.tracer.log_deadline_miss(job.job_id, job.slo.name, at)
@@ -438,48 +456,49 @@ class JobService:
             maybe_finish(at)
 
         def fail_batch(
-            rank: int, batch: list[SubTask], verdict: str, at: float
+            rank: int, batch: list[Run], verdict: str, at: float
         ) -> None:
             """A dispatched batch died (worker crash / GPU fault):
-            requeue its items per job, or drop jobs past their limits."""
-            groups: dict[str, list[SubTask]] = {}
+            requeue its runs per job in batch order, or drop jobs past
+            their limits."""
+            groups: dict[str, list[Run]] = {}
             order: list[Job] = []
-            for task in batch:
-                if task.job.failed_reason is not None:
+            for run in batch:
+                if run.job.failed_reason is not None:
                     # already dropped — its flush died with the drop
                     continue
-                if task.job.job_id not in groups:
-                    groups[task.job.job_id] = []
-                    order.append(task.job)
-                groups[task.job.job_id].append(task)
+                if run.job.job_id not in groups:
+                    groups[run.job.job_id] = []
+                    order.append(run.job)
+                groups[run.job.job_id].append(run)
             requeued = False
             for job in order:
-                tasks = groups[job.job_id]
+                runs = groups[job.job_id]
                 job.requeues += 1
                 job_outcomes[job.job_id].requeues = job.requeues
                 if job.requeues > cfg.retry_budget:
-                    drop_job(job, tasks, at, "retry-budget", rank)
+                    drop_job(job, runs, at, "retry-budget", rank)
                     continue
                 if (
                     admission is not None
-                    and batcher.depth() + len(tasks)
+                    and batcher.depth() + sum(r.count for r in runs)
                     > admission.config.max_queue_items
                 ):
                     # shed-on-requeue: re-entering would overflow the
                     # same gate the front door sheds against
-                    drop_job(job, tasks, at, "queue-depth", rank)
+                    drop_job(job, runs, at, "queue-depth", rank)
                     continue
                 if self.tracer is not None:
                     self.tracer.log_requeue(
                         verdict,
-                        [t.item_id for t in tasks],
+                        _ids(runs),
                         at,
                         attempt=job.requeues,
                         rank=rank,
                     )
                 self._count("serve.requeues", at)
-                for task in tasks:
-                    batcher.add(task, at)
+                for run in runs:
+                    batcher.add(run, at)
                 requeued = True
             self._gauge("serve.queue_depth", at, batcher.depth())
             touch(at)
@@ -531,21 +550,25 @@ class JobService:
                 index = state.next_batch
                 state.next_batch += 1
                 now = env.now
-                kind = batch[0].kind_key
-                ids = [t.item_id for t in batch]
+                kind = batch[0].item.kind.label
                 if self.tracer is not None:
-                    self.tracer.log_flush(kind, ids, now, batch=index)
+                    self.tracer.log_flush(kind, _ids(batch), now, batch=index)
                 self._count("serve.batches", now)
+                # one entry per item, in batch order: the price model
+                # sums a price per item
+                items: list = []
+                for run in batch:
+                    items += [run.item] * run.count
                 if self.registry is not None:
                     # oldest_wait only feeds the histogram: skip it unobserved
-                    self._observe("serve.batch_size", now, len(batch))
+                    self._observe("serve.batch_size", now, len(items))
                     self._observe(
                         "serve.queue_delay_seconds",
                         now,
                         batcher.oldest_wait(now),
                     )
                 seconds = cfg.batch_overhead_seconds + self.batch_seconds(
-                    rank, [t.item for t in batch]
+                    rank, items
                 )
                 gpu_fault = False
                 if injector is not None:
@@ -576,17 +599,19 @@ class JobService:
                     # a job dropped while this batch was in flight had
                     # these items cancelled by its drop record
                     live = [
-                        t for t in batch if t.job.failed_reason is None
+                        r for r in batch if r.job.failed_reason is None
                     ]
-                    ids = [t.item_id for t in live]
                 if live and self.tracer is not None:
-                    self.tracer.log_accumulate(kind, ids, now, batch=index)
+                    self.tracer.log_accumulate(
+                        kind, _ids(live), now, batch=index
+                    )
                 touch(now)
-                # stage progression, grouped per job in batch order
+                # stage progression, grouped per job in batch order: all
+                # of a job's queued items belong to its current stage
                 advanced: list[Job] = []
-                for task in live:
-                    job = task.job
-                    job.remaining -= 1
+                for run in live:
+                    job = run.job
+                    job.remaining -= run.count
                     if job.remaining == 0:
                         job.stage_index += 1
                         advanced.append(job)
@@ -643,13 +668,17 @@ class JobService:
                         )
                     )
                     continue
+                key = (req.template, req.slo)
                 job = build_job(
                     job_id,
                     req.tenant,
                     template,
                     slo,
                     shared_kinds=cfg.cross_job_batching,
+                    stages=shared_stages.get(key),
                 )
+                if cfg.cross_job_batching:
+                    shared_stages.setdefault(key, job.stages)
                 job.arrived_at = now
                 job.admitted_at = now
                 job.deadline = now + slo.deadline_seconds

@@ -1,11 +1,13 @@
-"""The batcher's heaps against the per-call scans they replaced.
+"""The run batcher's heaps against the per-item scans they replaced.
 
-``ScanBatcher`` is the reference: it ranks every non-empty bucket on
-each ``next_batch`` call and scans every bucket head for
-``oldest_wait``.  A Hypothesis differential test runs random sequences
-of add, requeue, next_batch, purge_job and oldest_wait on both, under
-both dispatch policies, and requires identical answers; a counting
-test pins the heaps' cost.
+``ScanBatcher`` is the reference: it queues one entry per item, ranks
+every non-empty bucket on each ``next_batch`` call and scans every
+bucket head for ``oldest_wait``.  A Hypothesis differential test feeds
+the same runs to both — ``CrossJobBatcher`` a run at a time, the
+reference one item at a time — through random sequences of add,
+requeue, next_batch, purge_job and oldest_wait, under both dispatch
+policies, and requires identical answers; two counting tests pin the
+heaps' cost.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.batcher import CrossJobBatcher, SubTask
+from repro.serve.batcher import CrossJobBatcher, Run
 from repro.serve.jobs import JOB_TEMPLATES, JobTemplate, SloClass, build_job
 
 #: two classes share a priority, so deadlines decide between them
@@ -28,18 +30,19 @@ ONE_ITEM = JobTemplate("one-item", ("apply",), 1, 4)
 
 
 class ScanBatcher:
-    """Test-only reference: the scans ``CrossJobBatcher`` replaced."""
+    """Test-only reference: one entry per item, and the scans
+    ``CrossJobBatcher`` replaced.  An item is ``(job, item_id, key)``."""
 
     def __init__(self, *, max_batch_size: int, fifo: bool = False):
         self.max_batch_size = max_batch_size
         self.fifo = fifo
-        #: kind key -> FIFO of ``(seq, enqueued_at, task)``
+        #: kind key -> FIFO of ``(seq, enqueued_at, item)``
         self.buckets: dict[str, deque] = {}
         self.seq = 0
 
-    def add(self, task: SubTask, now: float) -> None:
-        self.buckets.setdefault(task.kind_key, deque()).append(
-            (self.seq, now, task)
+    def add(self, item: tuple, now: float) -> None:
+        self.buckets.setdefault(item[2], deque()).append(
+            (self.seq, now, item)
         )
         self.seq += 1
 
@@ -51,26 +54,26 @@ class ScanBatcher:
         return now - min(heads) if heads else 0.0
 
     def rank(self, key: str) -> tuple:
-        seq, _at, task = self.buckets[key][0]
+        seq, _at, (job, _id, _key) = self.buckets[key][0]
         if self.fifo:
             return (seq,)
-        return (task.job.slo.priority, task.job.deadline, seq)
+        return (job.slo.priority, job.deadline, seq)
 
-    def purge_job(self, job) -> list[SubTask]:
+    def purge_job(self, job) -> list[tuple]:
         removed = []
         for key in list(self.buckets):
             bucket = self.buckets[key]
-            kept = deque(e for e in bucket if e[2].job is not job)
+            kept = deque(e for e in bucket if e[2][0] is not job)
             if len(kept) == len(bucket):
                 continue
-            removed.extend(e[2] for e in bucket if e[2].job is job)
+            removed.extend(e[2] for e in bucket if e[2][0] is job)
             if kept:
                 self.buckets[key] = kept
             else:
                 del self.buckets[key]
         return removed
 
-    def next_batch(self) -> list[SubTask] | None:
+    def next_batch(self) -> list[tuple] | None:
         candidates = [k for k, b in self.buckets.items() if b]
         if not candidates:
             return None
@@ -82,6 +85,29 @@ class ScanBatcher:
         if not bucket:
             del self.buckets[key]
         return batch
+
+
+def add_both(heaps, scans, run: Run, now: float) -> None:
+    """Queue ``run`` whole on the run batcher and item by item on the
+    reference."""
+    key = run.item.kind.label
+    for item_id in run.ids():
+        scans.add((run.job, item_id, key), now)
+    heaps.add(run, now)
+
+
+def run_ids(runs) -> list[str] | None:
+    """The item ids of a list of runs, in order."""
+    if runs is None:
+        return None
+    return [item_id for run in runs for item_id in run.ids()]
+
+
+def item_ids(items) -> list[str] | None:
+    """The item ids of a list of reference items, in order."""
+    if items is None:
+        return None
+    return [item_id for _job, item_id, _key in items]
 
 
 @st.composite
@@ -105,14 +131,14 @@ def jobs(draw):
     return out
 
 
-#: (operation, argument): add/requeue take a count, purge a job index
-#: and advance a time step; the other operations ignore the argument
+#: (operation, argument): add/requeue take a count of runs, purge a job
+#: index and advance a time step; the other operations ignore it
 OPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["add", "requeue", "next_batch", "purge", "oldest_wait", "advance"]
         ),
-        st.integers(0, 12),
+        st.integers(0, 4),
     ),
     max_size=60,
 )
@@ -127,40 +153,43 @@ OPS = st.lists(
     max_batch_size=st.integers(1, 5),
 )
 def test_heaps_match_the_scans(jobs, data, ops, fifo, max_batch_size):
-    """Every answer equals the scans': the same sub-task objects in the
-    same order from next_batch and purge_job, the same oldest_wait and
-    depth after each step.  Items of every stage of every job are fed
-    in a drawn order, so one job may hold items in several buckets."""
+    """Every answer equals the per-item scans': the same item ids in
+    the same order from next_batch and purge_job, the same oldest_wait
+    and depth after each step.  Every stage of every job is one fresh
+    run, fed in a drawn order, so one job may hold runs in several
+    buckets.  Batch runs (split ones included) and purged runs come
+    back as requeues, several to a step, as a failed batch requeues a
+    job's runs."""
     heaps = CrossJobBatcher(max_batch_size=max_batch_size, fifo=fifo)
     scans = ScanBatcher(max_batch_size=max_batch_size, fifo=fifo)
     fresh = data.draw(
         st.permutations(
             [
-                SubTask(job, item_id, item)
+                Run(job, si, 0, job.template.items_per_stage, item)
                 for job in jobs
-                for stage in job.stages
-                for item_id, item in stage
+                for si, item in enumerate(job.stages)
             ]
         )
     )
-    #: sub-tasks that left the queue and may come back (requeue)
-    out: list[SubTask] = []
+    #: runs that left the queue and may come back (requeue)
+    out: list[Run] = []
     now = 0.0
     for op, arg in ops:
         if op == "add" or op == "requeue":
             source = fresh if op == "add" else out
             for _ in range(min(arg, len(source))):
-                task = source.pop()
-                heaps.add(task, now)
-                scans.add(task, now)
+                add_both(heaps, scans, source.pop(), now)
         elif op == "next_batch":
             batch = heaps.next_batch()
-            assert batch == scans.next_batch()
-            out.extend(batch or ())
+            assert run_ids(batch) == item_ids(scans.next_batch())
+            if batch is not None:
+                assert 1 <= sum(r.count for r in batch) <= max_batch_size
+                assert len({r.item.kind.label for r in batch}) == 1
+                out.extend(batch)
         elif op == "purge":
             job = jobs[arg % len(jobs)]
             removed = heaps.purge_job(job)
-            assert removed == scans.purge_job(job)
+            assert run_ids(removed) == item_ids(scans.purge_job(job))
             out.extend(removed)
         elif op == "oldest_wait":
             assert heaps.oldest_wait(now) == scans.oldest_wait(now)
@@ -168,16 +197,15 @@ def test_heaps_match_the_scans(jobs, data, ops, fifo, max_batch_size):
             now += arg / 4
         assert heaps.depth() == scans.depth()
     while (batch := scans.next_batch()) is not None:
-        assert heaps.next_batch() == batch
+        assert run_ids(heaps.next_batch()) == item_ids(batch)
     assert heaps.next_batch() is None
     assert heaps.depth() == 0
 
 
-def make_one_item_job(job_id: str, slo: SloClass, shared: bool = False):
-    """The one sub-task of a one-stage, one-item job."""
+def one_item_run(job_id: str, slo: SloClass, shared: bool = False) -> Run:
+    """The one-item run of a one-stage, one-item job."""
     job = build_job(job_id, 0, ONE_ITEM, slo, shared_kinds=shared)
-    ((item_id, item),) = job.stages[0]
-    return SubTask(job, item_id, item)
+    return Run(job, 0, 0, 1, job.stages[0])
 
 
 def test_fifo_dispatch_ranks_each_bucket_head_once(monkeypatch):
@@ -198,13 +226,13 @@ def test_fifo_dispatch_ranks_each_bucket_head_once(monkeypatch):
     batcher = CrossJobBatcher(max_batch_size=8, fifo=True)
     order = []
     for i in range(n):
-        task = make_one_item_job(f"j{i}", CLASSES[i % 3])
-        batcher.add(task, i / 10)
-        order.append(task.item_id)
+        run = one_item_run(f"j{i}", CLASSES[i % 3])
+        batcher.add(run, i / 10)
+        order.extend(run.ids())
     drained = []
     while (batch := batcher.next_batch()) is not None:
         batcher.oldest_wait(n / 10)
-        drained.extend(t.item_id for t in batch)
+        drained.extend(run_ids(batch))
     assert drained == order
     assert calls <= 3 * n
 
@@ -215,10 +243,10 @@ def test_a_starving_head_keeps_the_heaps_small():
     waiting head, which the top never reaches; the rebuild keeps both
     heaps within twice the bucket count (two buckets) all the same."""
     batcher = CrossJobBatcher(max_batch_size=1)
-    batcher.add(make_one_item_job("j0", CLASSES[2]), 0.0)
+    batcher.add(one_item_run("j0", CLASSES[2]), 0.0)
     longest = 0
     for i in range(1, 2001):
-        urgent = make_one_item_job(f"j{i}", CLASSES[0], shared=True)
+        urgent = one_item_run(f"j{i}", CLASSES[0], shared=True)
         batcher.add(urgent, float(i))
         if i > 1:
             (dispatched,) = batcher.next_batch()
@@ -226,3 +254,18 @@ def test_a_starving_head_keeps_the_heaps_small():
         assert batcher.oldest_wait(float(i)) == i
         longest = max(longest, len(batcher._by_rank), len(batcher._by_age))
     assert longest <= 4
+
+
+def test_a_split_remainder_leaves_no_live_duplicate():
+    """A 1,000-item run drained one item at a time is split 999 times.
+    Each remainder takes the ``seq`` of its first item, so the heap
+    entries of the remainder before it go stale, and both heaps stay
+    within twice the bucket count (one bucket)."""
+    long_stage = JobTemplate("long-stage", ("apply",), 1000, 4)
+    job = build_job("j0", 0, long_stage, CLASSES[0])
+    batcher = CrossJobBatcher(max_batch_size=1)
+    batcher.add(Run(job, 0, 0, 1000, job.stages[0]), 0.0)
+    longest = 0
+    while batcher.next_batch() is not None:
+        longest = max(longest, len(batcher._by_rank), len(batcher._by_age))
+    assert longest <= 2

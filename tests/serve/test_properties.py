@@ -1,20 +1,29 @@
 """Property tests: the serving ledger under arbitrary knobs.
 
-ISSUE satellite: under *any* seeded arrival trace and *any* combination
-of shedding / autoscaling / batching knobs, every job is either
-admitted-and-completed or shed, exactly once — never both, never lost —
-and per-tenant completion counts never exceed admissions.  The same
-runs must replay byte-identically and pass the full happens-before
-checker (invariants 1-9).
+Under *any* seeded arrival trace and *any* combination of shedding /
+autoscaling / batching knobs, every job is either admitted-and-completed
+or shed, exactly once — never both, never lost — and per-tenant
+completion counts never exceed admissions.  The same runs must replay
+byte-identically and pass the full happens-before checker (invariants
+1-9).  Under the same knobs plus crashes, transient GPU faults, retry
+budgets and batch caps, a run with no tracer and no registry must
+return exactly what a traced and metered run returns: item ids are
+formatted only for the tracer, and nothing the ledger reads may depend
+on them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.injector import FaultInjector
+from repro.faults.models import GpuFailure, NodeCrash
 from repro.lint.trace_check import find_violations
 from repro.obs.dump import merge_order_log
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.trace import Tracer
 from repro.serve.admission import AdmissionConfig
 from repro.serve.arrivals import PoissonArrivals
@@ -120,3 +129,53 @@ def test_reruns_replay_identically(params):
         return tracer.log
 
     assert run() == run()
+
+
+#: a crash on a rank other than 0 (so the pool never dies whole),
+#: transient GPU faults on every rank, a retry budget and a batch cap:
+#: small caps split stage runs, and faults requeue and drop them
+chaos = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=2**16),
+        "crash_rank": st.integers(min_value=1, max_value=3),
+        "crash_at": st.sampled_from([0.02, 0.1, 0.3]),
+        "gpu_rate": st.sampled_from([0.1, 0.3]),
+        "retry_budget": st.integers(min_value=0, max_value=2),
+        "max_batch_size": st.integers(min_value=1, max_value=8),
+    }
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=knobs, faults=chaos)
+def test_an_untraced_run_equals_a_traced_run(params, faults):
+    requests, config = build(params)
+    config = dataclasses.replace(
+        config,
+        retry_budget=faults["retry_budget"],
+        max_batch_size=faults["max_batch_size"],
+    )
+
+    def run(tracer, registry):
+        injector = FaultInjector(
+            seed=faults["seed"],
+            faults=[
+                NodeCrash(rank=faults["crash_rank"], at=faults["crash_at"]),
+                GpuFailure(rate=faults["gpu_rate"]),
+            ],
+        )
+        return JobService(
+            n_ranks=params["n_ranks"],
+            batch_seconds=flat_cost,
+            config=config,
+            tracer=tracer,
+            registry=registry,
+            fault_injector=injector,
+        ).run(requests)
+
+    tracer = Tracer()
+    traced = run(tracer, MetricsRegistry())
+    assert dataclasses.asdict(run(None, None)) == dataclasses.asdict(traced)
+    # in emission order, as the fault tests check it: the merge order
+    # sorts a drop ahead of a same-instant flush of an item it retires
+    assert find_violations(tracer.log) == []

@@ -12,6 +12,7 @@ from repro.runtime.trace import Tracer
 from repro.serve.admission import AdmissionConfig
 from repro.serve.arrivals import BurstyArrivals, JobRequest, TraceArrivals
 from repro.serve.autoscaler import AutoscalerConfig
+from repro.serve.batcher import CrossJobBatcher
 from repro.serve.jobs import SloClass
 from repro.serve.service import JobService, ServeConfig, ServeConfigError
 
@@ -209,6 +210,54 @@ def test_fifo_and_isolated_batching_modes_stay_correct():
             fifo,
             cross,
         )
+
+
+def test_jobs_share_stage_items_only_under_cross_job_batching():
+    """Under cross-job batching every job of one (template, class)
+    hands the price model the same stage ``WorkItem`` object, so its
+    ``item is previous`` path hits across jobs; salted jobs keep their
+    own items."""
+    for cross in (True, False):
+        tracer = Tracer()
+        priced = []
+
+        def cost(rank, items):
+            priced.extend(items)
+            return flat_cost(rank, items)
+
+        config = ServeConfig(admission=None, cross_job_batching=cross)
+        result = JobService(
+            n_ranks=2, batch_seconds=cost, config=config, tracer=tracer
+        ).run(small_trace())
+        ids = [i for rec in tracer.log if rec.op == "flush" for i in rec.ids]
+        assert len(ids) == len(priced) == 108
+        outcome = {o.job_id: o for o in result.outcomes}
+        owners = {}
+        for item_id, item in zip(ids, priced):
+            job_id, stage, _ = item_id.split(".")
+            o = outcome[job_id]
+            key = (o.template, stage, o.slo) if cross else (job_id, stage)
+            assert owners.setdefault(key, item) is item, (cross, item_id)
+        # 7 (template, stage) pairs, each in one class; 21 job stages
+        assert len(owners) == (7 if cross else 21)
+        items = list(owners.values())
+        assert all(a is not b for i, a in enumerate(items) for b in items[:i])
+
+
+def test_a_stage_enters_the_queue_as_one_run(monkeypatch):
+    """The 9 jobs' 21 stages of 108 items take 21 ``add`` calls."""
+    calls = 0
+    add = CrossJobBatcher.add
+
+    def counted(self, run, now):
+        nonlocal calls
+        calls += 1
+        add(self, run, now)
+
+    monkeypatch.setattr(CrossJobBatcher, "add", counted)
+    result = run_service(small_trace(), ServeConfig(admission=None))
+    assert result.n_completed == 9
+    assert calls == 21
 
 
 def test_edf_prioritizes_interactive_latency():
