@@ -5,11 +5,12 @@ export PYTHONPATH := src
 
 ## check: the blocking CI gates — what CI's `check` job runs (in-tree
 ## analyzer on library and tests, race gate, ruff, mypy, tier-1 tests,
-## steal-smoke, serve-smoke, table6-smoke, perf-pins, perf-tests, examples
-## and experiments-smoke) plus CI's separate `chaos-smoke` job, which pins
-## BENCH_chaos.json's serving block; the coverage floor and the export
-## `cmp` stay CI-only
-check: lint lint-tests races ruff mypy test steal-smoke serve-smoke table6-smoke chaos-smoke perf-pins perf-tests examples experiments-smoke
+## steal-smoke, serve-smoke, table6-smoke, des-equivalence, perf-pins,
+## perf-tests, examples and experiments-smoke) plus CI's separate
+## `des-smoke` job, which pins BENCH_cluster.json, and `chaos-smoke` job,
+## which pins BENCH_chaos.json's serving block; the coverage floor and the
+## export `cmp` stay CI-only
+check: lint lint-tests races ruff mypy test steal-smoke serve-smoke table6-smoke des-equivalence des-smoke chaos-smoke perf-pins perf-tests examples experiments-smoke
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples

@@ -197,7 +197,6 @@ class _Totals:
     """Run-global accounting (owned by one engine run)."""
 
     remaining: int = 0
-    requests: int = 0
     attempted: int = 0
     granted: int = 0
     denied: int = 0
@@ -206,12 +205,6 @@ class _Totals:
     crashes: int = 0
     rehomed: int = 0
     rolled_back: int = 0
-
-    def next_request(self) -> int:
-        """Allocate the next run-unique steal-request id."""
-        req = self.requests
-        self.requests += 1
-        return req
 
 
 @dataclass
@@ -283,6 +276,25 @@ def locality_preferences(
             if other is not None and other != rank:
                 prefs.setdefault(rank, set()).add(other)
     return {rank: tuple(sorted(s)) for rank, s in prefs.items()}
+
+
+def _locality_victim(
+    prefs: Sequence[int],
+    board: set[int],
+    queues: Sequence[Sized],
+    thief: int,
+) -> int | None:
+    """The deepest queue among ``prefs`` on ``board`` other than
+    ``thief``'s, ties to the lowest rank; ``None`` when no preferred
+    rank is on the board."""
+    victim = best = -1
+    for rank in prefs:
+        if rank in board and rank != thief:
+            depth = len(queues[rank])
+            if depth > best or (depth == best and rank < victim):
+                victim = rank
+                best = depth
+    return None if best < 0 else victim
 
 
 def _board_victim(
@@ -394,6 +406,10 @@ class StealingEngine:
         n = self.n_ranks
         cfg = self.config
         recovery = self.recovery
+        rank_tracers = self.rank_tracers
+        registry = self.registry
+        # one request, grant or deny control message, priced once
+        request_seconds = self.network.request_seconds(cfg.request_bytes)
         env = Environment()
         stats = [_RankStats() for _ in range(n)]
         totals = _Totals(remaining=len(tasks))
@@ -406,7 +422,7 @@ class StealingEngine:
             task_of[tid] = task
             queues[self.pmap.owner(task.key)].append((tid, task))
         for rank in range(n):
-            tracer = self.rank_tracers.get(rank)
+            tracer = rank_tracers.get(rank)
             if tracer is not None:
                 for tid, task in queues[rank]:
                     tracer.log_submit(str(task.item.kind), tid, 0.0)
@@ -479,16 +495,6 @@ class StealingEngine:
                 if not ev.triggered:
                     ev.succeed()
 
-        def pick_victim(rank: int) -> int | None:
-            # locality preferences first, then max load off the board;
-            # ties break deterministically to the lowest rank
-            preferred = [
-                r for r in locality.get(rank, ()) if r in board and r != rank
-            ]
-            if preferred:
-                return max(preferred, key=lambda r: (len(queues[r]), -r))
-            return _board_victim(board_heap, board, queues, rank)
-
         def pop_chunk(rank: int) -> list[tuple[str, ClusterTask]]:
             queue = queues[rank]
             chunk = [
@@ -506,27 +512,31 @@ class StealingEngine:
         def answer_request(
             victim: int, thief: int, req: int
         ) -> list[tuple[str, ClusterTask]]:
+            # a deny is the common answer: it reads no tracer unless one
+            # is armed and no clock unless something records it
             queue = queues[victim]
-            now = env.now
-            tracer = self.rank_tracers.get(victim)
             if chaos[victim].down:
                 # the victim died while the request was on the wire: no
                 # reply ever comes; the thief charges a deny round-trip
                 totals.denied += 1
-                if self.registry is not None:
-                    self.registry.counter("cluster.steal.denies").inc(now, 1)
+                if registry is not None:
+                    registry.counter("cluster.steal.denies").inc(env.now, 1)
                 return []
-            if self.registry is not None:
-                self.registry.histogram(
+            if registry is not None:
+                registry.histogram(
                     "cluster.steal.victim_queue_depth"
-                ).observe(now, float(len(queue)))
+                ).observe(env.now, float(len(queue)))
             if len(queue) < cfg.min_victim_queue:
                 totals.denied += 1
-                if tracer is not None:
-                    tracer.log_steal_deny(thief, now, req)
-                if self.registry is not None:
-                    self.registry.counter("cluster.steal.denies").inc(now, 1)
+                if rank_tracers:
+                    tracer = rank_tracers.get(victim)
+                    if tracer is not None:
+                        tracer.log_steal_deny(thief, env.now, req)
+                if registry is not None:
+                    registry.counter("cluster.steal.denies").inc(env.now, 1)
                 return []
+            now = env.now
+            tracer = rank_tracers.get(victim)
             n_steal = max(1, int(len(queue) * cfg.steal_fraction))
             stolen = [queue.pop() for _ in range(n_steal)]
             stolen.reverse()  # keep the victim's queue order
@@ -539,9 +549,9 @@ class StealingEngine:
             if tracer is not None:
                 for kind, ids in _group_by_kind(stolen):
                     tracer.log_steal_grant(kind, ids, now, req)
-            if self.registry is not None:
-                self.registry.counter("cluster.steal.grants").inc(now, 1)
-                self.registry.counter("cluster.steal.tasks_migrated").inc(
+            if registry is not None:
+                registry.counter("cluster.steal.grants").inc(now, 1)
+                registry.counter("cluster.steal.tasks_migrated").inc(
                     now, n_steal
                 )
             return stolen
@@ -553,7 +563,7 @@ class StealingEngine:
             for entry in stolen:
                 queue.append(entry)
             totals.max_depth = max(totals.max_depth, len(queue))
-            tracer = self.rank_tracers.get(thief)
+            tracer = rank_tracers.get(thief)
             if tracer is not None:
                 for kind, ids in _group_by_kind(stolen):
                     tracer.log_migrate(kind, ids, env.now, req)
@@ -570,7 +580,7 @@ class StealingEngine:
             if chaos[rank].epoch != epoch:
                 return
             checkpoint = checkpointer.commit(env.now)
-            tracer = self.rank_tracers.get(rank)
+            tracer = rank_tracers.get(rank)
             if tracer is not None:
                 tracer.log_checkpoint(
                     checkpoint.seq, checkpoint.parent, checkpoint.item_ids,
@@ -579,7 +589,8 @@ class StealingEngine:
                 tracer.record("checkpoint", "write", w0, env.now)
 
         def rank_process(rank: int):
-            tracer = self.rank_tracers.get(rank)
+            tracer = rank_tracers.get(rank)
+            prefs = locality.get(rank, ())
             st = stats[rank]
             ch = chaos[rank]
             queue = queues[rank]
@@ -594,7 +605,9 @@ class StealingEngine:
                     epoch = ch.epoch
                     ch.in_flight = chunk
                     start = env.now
-                    groups = _group_by_kind(chunk)
+                    groups = (
+                        _group_by_kind(chunk) if tracer is not None else ()
+                    )
                     if tracer is not None:
                         for kind, ids in groups:
                             tracer.log_flush(kind, ids, start, batch=batch)
@@ -651,24 +664,27 @@ class StealingEngine:
                     yield ev
                     parked.pop(rank, None)
                     continue
-                victim = pick_victim(rank)
+                # locality preferences first, then max load off the
+                # board; ties break deterministically to the lowest rank
+                victim = _locality_victim(prefs, board, queues, rank)
+                if victim is None:
+                    victim = _board_victim(board_heap, board, queues, rank)
                 if victim is None:
                     ev = env.event()
                     parked[rank] = ev
                     yield ev
                     parked.pop(rank, None)
                     continue
-                req = totals.next_request()
+                # a request's id is the run's count of earlier attempts
+                req = totals.attempted
+                totals.attempted += 1
                 t0 = env.now
                 epoch = ch.epoch
-                totals.attempted += 1
                 if tracer is not None:
                     tracer.log_steal_request(victim, t0, req)
-                if self.registry is not None:
-                    self.registry.counter("cluster.steal.requests").inc(t0, 1)
-                yield env.timeout(
-                    self.network.request_seconds(cfg.request_bytes)
-                )
+                if registry is not None:
+                    registry.counter("cluster.steal.requests").inc(t0, 1)
+                yield env.timeout(request_seconds)
                 if ch.epoch != epoch:
                     # this thief died while its request was in flight;
                     # the victim's crash detection voids the exchange
@@ -689,9 +705,7 @@ class StealingEngine:
                     receive_migration(rank, stolen, req)
                 else:
                     # the deny rides back as one control message
-                    yield env.timeout(
-                        self.network.request_seconds(cfg.request_bytes)
-                    )
+                    yield env.timeout(request_seconds)
                     if ch.epoch != epoch:
                         continue
                 end = env.now
@@ -701,7 +715,7 @@ class StealingEngine:
 
         def crash_and_restore(rank: int, crashed_at: float):
             checkpointer = checkpointers[rank]
-            tracer = self.rank_tracers.get(rank)
+            tracer = rank_tracers.get(rank)
             ch = chaos[rank]
             queue = queues[rank]
             ch.restarts += 1
@@ -755,14 +769,14 @@ class StealingEngine:
                 totals.max_depth = max(
                     totals.max_depth, len(queues[victim])
                 )
-                victim_tracer = self.rank_tracers.get(victim)
+                victim_tracer = rank_tracers.get(victim)
                 if victim_tracer is not None:
                     for kind, ids in _group_by_kind(entries):
                         victim_tracer.log_rehome(
                             kind, ids, detect_at, req, rank
                         )
-                if self.registry is not None:
-                    self.registry.counter(
+                if registry is not None:
+                    registry.counter(
                         "cluster.steal.tasks_rehomed"
                     ).inc(detect_at, len(entries))
                 board_update(victim)
@@ -779,14 +793,14 @@ class StealingEngine:
                 recovery.cost_model.restart_seconds
                 + restored.read_seconds(recovery.cost_model)
             )
-            if self.registry is not None:
-                self.registry.counter("recovery.restarts").inc(
+            if registry is not None:
+                registry.counter("recovery.restarts").inc(
                     detect_at + restore_wait
                 )
-                self.registry.counter("recovery.rolled_back_items").inc(
+                registry.counter("recovery.rolled_back_items").inc(
                     detect_at, len(restored.rolled_ids)
                 )
-                self.registry.histogram(
+                registry.histogram(
                     "recovery.restore_seconds"
                 ).observe(detect_at + restore_wait, restore_wait)
             yield env.timeout(restore_wait)

@@ -76,17 +76,23 @@ class Process(Event):
     - ``None`` — resume immediately (a cooperative yield point).
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_gen", "_resume")
 
     def __init__(self, env: "Environment", gen: Generator):
         super().__init__(env)
         self._gen = gen
+        #: the callback every wait appends, bound once per process
+        self._resume = self._step
         env._schedule(_Resume(env, self, None), 0.0)
 
     def _step(self, sent_value) -> None:
         try:
             target = self._gen.send(sent_value)
         except StopIteration as stop:
+            # a finished process waits on nothing more; dropping its
+            # bound resume breaks the self-cycle, so it is freed by
+            # reference counting instead of waiting for a collection
+            self._resume = None
             self.triggered = True
             self.value = stop.value
             self.env._schedule(self, 0.0)
@@ -97,7 +103,7 @@ class Process(Event):
             if target.triggered:
                 self.env._schedule(_Resume(self.env, self, target.value), 0.0)
             else:
-                target.callbacks.append(lambda value: self._step(value))
+                target.callbacks.append(self._resume)
         else:
             raise SimulationError(
                 f"process yielded {target!r}; expected an Event or None"
@@ -114,9 +120,6 @@ class _Resume(Event):
         self._process = process
         self._value = value
         self.triggered = True
-
-    def fire(self) -> None:
-        self._process._step(self._value)
 
 
 class Environment:
@@ -162,9 +165,23 @@ class Environment:
         (popped from the queue), so processes yielding on it block until
         then.
         """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         ev = Event(self)
         ev.value = value
-        self._schedule(ev, delay)
+        # _schedule's entry pushed in place, the hottest entry point: the
+        # same key and one draw per entry, in the same order
+        tie = self._tie_breaker
+        heapq.heappush(
+            self._queue,
+            (
+                self.now + delay,
+                0.0 if tie is None else tie.random(),
+                self._counter,
+                ev,
+            ),
+        )
+        self._counter += 1
         return ev
 
     def process(self, gen: Generator) -> Process:
@@ -184,16 +201,17 @@ class Environment:
         Returns the final simulation time.
         """
         queue = self._queue
+        heappop = heapq.heappop
         while queue:
             if until is not None and queue[0][0] > until:
                 if until > self.now:
                     self.now = until
                 return self.now
-            t, _draw, _seq, event = heapq.heappop(queue)
+            t, _draw, _seq, event = heappop(queue)
             self.now = t
             self.n_processed += 1
             if type(event) is _Resume:
-                event.fire()
+                event._process._step(event._value)
                 continue
             event.triggered = True
             callbacks, event.callbacks = event.callbacks, []

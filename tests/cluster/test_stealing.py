@@ -1,5 +1,6 @@
 """Tests for the work-stealing scheduler (repro.cluster.stealing)."""
 
+import dataclasses
 import heapq
 from collections import Counter
 from functools import partial
@@ -15,6 +16,7 @@ from repro.cluster.stealing import (
     StealingConfig,
     StealingEngine,
     _board_victim,
+    _locality_victim,
     locality_preferences,
 )
 from repro.dht.process_map import (
@@ -263,6 +265,25 @@ def test_board_victim_matches_a_full_scan(ops):
             candidates, key=lambda r: (len(queues[r]), -r), default=None
         )
         assert _board_victim(board_heap, board, queues, thief) == scan
+
+
+@given(
+    prefs=st.lists(st.integers(0, 7), max_size=8).map(tuple),
+    board=st.sets(st.integers(0, 7)),
+    depths=st.lists(st.integers(0, 5), min_size=8, max_size=8),
+    thief=st.integers(0, 7),
+)
+def test_locality_victim_matches_the_candidate_list(prefs, board, depths, thief):
+    """The one-pass locality pick is the max over the candidate list it
+    replaced: the deepest preferred queue on the board other than the
+    thief's, ties to the lowest rank, whatever the order or repeats of
+    the preference tuple."""
+    queues = [[None] * depth for depth in depths]
+    candidates = [r for r in prefs if r in board and r != thief]
+    expected = max(
+        candidates, key=lambda r: (len(queues[r]), -r), default=None
+    )
+    assert _locality_victim(prefs, board, queues, thief) == expected
 
 
 def test_parked_ranks_wake_without_a_full_scan(monkeypatch):
@@ -525,6 +546,57 @@ def test_migration_preserves_exactly_once(
         for item in rec.ids
     ]
     assert sorted(accumulated) == sorted(f"t{i}" for i in range(len(tasks)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slots=st.lists(st.integers(min_value=0, max_value=7), min_size=1,
+                   max_size=24),
+    n_ranks=st.integers(min_value=2, max_value=8),
+    chunk_size=st.integers(min_value=1, max_value=4),
+    min_victim_queue=st.integers(min_value=1, max_value=4),
+    steal_fraction=st.floats(min_value=0.25, max_value=1.0),
+    crash=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.floats(min_value=1e-3, max_value=0.04),
+        ),
+    ),
+)
+def test_untraced_run_equals_a_traced_registry_armed_run(
+    slots, n_ranks, chunk_size, min_victim_queue, steal_fraction, crash
+):
+    """Tracers and a metrics registry only observe: the engine's paths
+    that skip them when nothing is armed (a deny above all) reach the
+    same outcome, field for field, with and without crash recovery."""
+    config = StealingConfig(
+        chunk_size=chunk_size,
+        min_victim_queue=min_victim_queue,
+        steal_fraction=steal_fraction,
+    )
+
+    def run(tracers, registry):
+        injector = recovery = None
+        if crash is not None:
+            rank, at = crash
+            injector = FaultInjector(
+                seed=len(slots), faults=[NodeCrash(rank=rank % n_ranks, at=at)]
+            )
+            recovery = RecoveryConfig(
+                EveryNBatches(2),
+                CheckpointCostModel(restart_seconds=1e-3),
+                failure_detection_timeout=1e-3,
+                max_restarts=1,
+            )
+        return run_engine(
+            make_tasks(slots), n_ranks, config, tracers=tracers,
+            registry=registry, injector=injector, recovery=recovery,
+        )
+
+    plain = run(None, None)
+    armed = run({r: Tracer() for r in range(n_ranks)}, MetricsRegistry())
+    assert dataclasses.asdict(plain) == dataclasses.asdict(armed)
 
 
 # -- crash recovery ----------------------------------------------------------------

@@ -29,13 +29,27 @@ from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.runtime.events import (
     AllOf,
     Environment,
+    Event,
     _Resume,
     scheduling_perturbation,
 )
 
 
 class ReferenceEnvironment(Environment):
-    """The reference core: an unordered list, sorted before every pop."""
+    """The reference core: an unordered list, sorted before every pop.
+
+    Every entry reaches this core through its own ``_schedule`` and
+    waits in its own pending list, never in the heapq core's ``_queue``.
+    Entry points the heapq core inlines (``timeout`` pushes its entry in
+    place) are routed through ``_schedule`` here, and a run fails when
+    ``_queue`` holds an entry: one pushed past ``_schedule`` would
+    otherwise be sorted in by a core that shares the heap's list, or
+    never fire on one that does not.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._entries = []
 
     def _schedule(self, event, delay):
         if delay < 0:
@@ -45,30 +59,39 @@ class ReferenceEnvironment(Environment):
         self._pending(t).append((t, draw, self._counter, event))
         self._counter += 1
 
+    def timeout(self, delay, value=None):
+        ev = Event(self)
+        ev.value = value
+        self._schedule(ev, delay)
+        return ev
+
     def _pending(self, t):
         """The list an entry due at ``t`` waits in."""
-        return self._queue
+        return self._entries
 
     def _earliest(self):
         """The list holding the earliest pending entry (empty if none)."""
-        return self._queue
+        return self._entries
 
     def run(self, until=None):
         while queue := self._earliest():
             queue.sort()  # seq is unique: events are never compared
             if until is not None and queue[0][0] > until:
                 self.now = max(self.now, until)
-                return self.now
+                break
             t, _draw, _seq, event = queue.pop(0)
             self.now = t
             self.n_processed += 1
             if isinstance(event, _Resume):
-                event.fire()
+                event._process._step(event._value)
                 continue
             event.triggered = True
             callbacks, event.callbacks = event.callbacks, []
             for cb in callbacks:
                 cb(event.value)
+        assert not self._queue, (
+            f"{len(self._queue)} entries bypassed {type(self).__name__}._schedule"
+        )
         return self.now
 
 
